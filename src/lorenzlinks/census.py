@@ -4,15 +4,13 @@ Census ingestion and batch invariant reports.
 The bundled census file lists the simplest hyperbolic knots together with a
 Lorenz vector where one is known (107 of 112 rows) and "?" where the question
 is open.  Reports combine the invariant table with the torus-detection
-verdict; batch reporting may fan out over worker threads, but results are
-always merged back in input order, and a failing entry never aborts the rest
-of the batch.
+verdict; batch reports come back in input order, and a failing entry never
+aborts the rest of the batch.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -145,11 +143,6 @@ def _entry_report(entry: CensusEntry) -> Report:
         )
 
 
-def report_all(
-    entries: Sequence[CensusEntry], workers: Optional[int] = None
-) -> list[Report]:
-    """Reports for every entry, in input order regardless of scheduling."""
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_entry_report, entries))
+def report_all(entries: Sequence[CensusEntry]) -> list[Report]:
+    """Reports for every entry, in input order."""
     return [_entry_report(entry) for entry in entries]

@@ -213,7 +213,7 @@ def _cmd_word_eq(args) -> int:
 
 def _cmd_census_report(args) -> int:
     entries = census_mod.load_census(args.file)
-    reports = census_mod.report_all(entries, workers=args.workers)
+    reports = census_mod.report_all(entries)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports]))
         return 0
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep = census_sub.add_parser("report", help="batch report for a census file")
     rep.add_argument("file", nargs="?", default=None,
                      help="census file (bundled table when omitted)")
-    rep.add_argument("--workers", type=int, default=None)
     rep.set_defaults(func=_cmd_census_report)
 
     return parser
@@ -296,3 +295,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,29 +1,32 @@
 """
 Left-greedy normal form for positive braid words, and the word problem.
 
-A canonical factor is a permutation braid, stored as its Permutation.  Every
-positive braid has a unique factorisation D_1 D_2 ... D_k into nonidentity
-permutation braids that is left weighted: for each adjacent pair (A, B), no
-generator can be moved from the front of B into A while keeping A a
-permutation braid.  Comparing factor sequences therefore decides equality of
-positive words in the braid group.
+Every positive braid has a unique factorisation D_1 D_2 ... D_k into
+nonidentity permutation braids that is left weighted: for each adjacent pair
+(A, B), no generator can be moved from the front of B into A while keeping A
+a permutation braid.  Comparing factor sequences therefore decides equality
+of positive words in the braid group.
 
-The left-weighting test is the descent criterion: (A, B) is left weighted iff
-S(B) is contained in F(A), where S(X) is the set of sigma_i dividing X on the
-left (the descents of X) and F(X) the set dividing it on the right (the
-descents of X^{-1}).  When the pair is not left weighted, the transferable
-part of B is the weak-order meet of B with the right complement of A, the
-permutation A^{-1} Delta.
+Inside, factors are plain image tuples (the braid.Permutation convention)
+and descent sets are int bitmasks, bit i for sigma_i.  (A, B) is left
+weighted iff desc(B) & ~desc(A^{-1}) == 0; otherwise a slide moves
+meet(B, A^{-1} Delta) from the front of B onto A.  Products use the classical
+fold (Epstein et al., Word Processing in Groups, ch. 9; Elrifai-Morton 1994):
+a simple element is appended to a left-weighted list, then one right-to-left
+pass of slides deletes any right factor that empties and stops at the first
+pair already left weighted, since every pair left of it is unchanged.
+normal_form first cuts the word into maximal permutation braids, so that
+each fold carries a whole factor.
 
-Since every word here is positive, no Delta^{-k} prefix bookkeeping is
-needed: a normal form is just the strand count and the factor tuple.
+Every word here is positive, so a normal form is just the strand count and
+the factor tuple, with no Delta^{-k} prefix.  Permutation objects appear only
+at the boundary: in NormalForm.factors and the public helpers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .braid import (
     BraidWord,
@@ -34,49 +37,99 @@ from .braid import (
     power,
 )
 
-
-def starting_set(p: Permutation) -> frozenset[int]:
-    """Generators sigma_i that divide the permutation braid of p on the left."""
-    return p.descents
+Image = tuple[int, ...]
 
 
-def finishing_set(p: Permutation) -> frozenset[int]:
-    """Generators sigma_i that divide the permutation braid of p on the right."""
-    return p.inverse.descents
+def _inverse(p: Image) -> Image:
+    inv = [0] * len(p)
+    for a, x in enumerate(p, start=1):
+        inv[x - 1] = a
+    return tuple(inv)
+
+
+def _descents(p: Image) -> int:
+    """Bitmask of the sigma_i dividing p on the left: bit i iff p(i) > p(i+1)."""
+    return sum(1 << i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def _complement(p: Image) -> Image:
+    """p^{-1} Delta: the simple c with p c = Delta and additive lengths."""
+    top = len(p) + 1
+    return tuple(top - x for x in _inverse(p))
+
+
+def _strip(u: list[int], v: list[int]) -> list[int]:
+    """
+    Strip common left divisors from u and v in place; return the letters
+    stripped, a word for meet(u, v).
+
+    Any generator dividing both divides the meet, so greedy stripping is
+    exact.  Removing sigma_i swaps entries i and i+1, which can only create
+    a common descent at i-1 or i+1, so the scan steps back by one.
+    """
+    letters = []
+    n = len(u)
+    i = 1
+    while i < n:
+        if u[i - 1] > u[i] and v[i - 1] > v[i]:
+            u[i - 1], u[i] = u[i], u[i - 1]
+            v[i - 1], v[i] = v[i], v[i - 1]
+            letters.append(i)
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    return letters
+
+
+def _left_weighted(a: Image, b: Image) -> bool:
+    return not _descents(b) & ~_descents(_inverse(a))
+
+
+def _slide(a: Image, b: Image) -> Optional[tuple[Image, Image]]:
+    """(a c, c^{-1} b) for c = meet(b, a^{-1} Delta), or None if (a, b) is left weighted."""
+    if _left_weighted(a, b):
+        return None
+    rest, head = list(_complement(a)), list(b)
+    _strip(rest, head)  # rest is now the complement of a c
+    top = len(a) + 1
+    return _inverse(tuple(top - x for x in rest)), tuple(head)
+
+
+def _fold(factors: list[Image], s: Image) -> None:
+    """Right-multiply the left-weighted list by the nonidentity simple s, in place."""
+    identity = tuple(range(1, len(s) + 1))
+    factors.append(s)
+    j = len(factors) - 1
+    while j:
+        slid = _slide(factors[j - 1], factors[j])
+        if slid is None:
+            return
+        factors[j - 1], right = slid
+        if right == identity:
+            del factors[j]
+        else:
+            factors[j] = right
+        j -= 1
+
+
+def _product(left: list[Image], right: list[Image]) -> list[Image]:
+    out = list(left)
+    for s in right:
+        _fold(out, s)
+    return out
 
 
 def right_complement(p: Permutation) -> Permutation:
     """The permutation c with p.then(c) = Delta and additive lengths."""
-    n = p.size
-    inv = p.inverse.image
-    return Permutation(tuple(n + 1 - x for x in inv))
+    return Permutation(_complement(p.image))
 
 
 def meet(u: Permutation, v: Permutation) -> Permutation:
-    """
-    Greatest common left divisor of two permutation braids (weak-order meet).
-
-    Strips common left-dividing generators until none remain; any common left
-    divisor generator divides the meet, so greedy stripping is exact.
-    """
+    """Greatest common left divisor of two permutation braids (weak-order meet)."""
     if u.size != v.size:
         raise ValueError("size mismatch")
-    n = u.size
-    u_img, v_img = list(u.image), list(v.image)
-    letters: list[int] = []
-    while True:
-        common = 0
-        for i in range(1, n):
-            if u_img[i - 1] > u_img[i] and v_img[i - 1] > v_img[i]:
-                common = i
-                break
-        if not common:
-            break
-        letters.append(common)
-        i = common
-        u_img[i - 1], u_img[i] = u_img[i], u_img[i - 1]
-        v_img[i - 1], v_img[i] = v_img[i], v_img[i - 1]
-    return Permutation.from_letters(n, letters)
+    return Permutation.from_letters(u.size, _strip(list(u.image), list(v.image)))
 
 
 def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Permutation]]:
@@ -87,84 +140,12 @@ def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Pe
     The moved part is c = meet(b, right_complement(a)); the result is
     (a.then(c), c^{-1}.then(b)) and the second entry may be the identity.
     """
-    if b.descents <= a.inverse.descents:
-        return None
-    c = meet(b, right_complement(a))
-    return a.then(c), c.inverse.then(b)
+    slid = _slide(a.image, b.image)
+    return None if slid is None else (Permutation(slid[0]), Permutation(slid[1]))
 
 
 def is_left_weighted(a: Permutation, b: Permutation) -> bool:
-    return b.descents <= a.inverse.descents
-
-
-class _Node:
-    __slots__ = ("perm", "prev", "next")
-
-    def __init__(self, perm: Permutation):
-        self.perm = perm
-        self.prev: Optional[_Node] = None
-        self.next: Optional[_Node] = None
-
-
-def _renormalize(factors: Iterable[Permutation]) -> tuple[Permutation, ...]:
-    """
-    Left-weight an arbitrary factor sequence.
-
-    Factors live in a doubly linked list; a worklist holds the left nodes of
-    pairs that may violate left-weighting.  A successful slide grows the left
-    factor and shrinks (possibly empties) the right one, so only the two
-    neighbouring pairs need rechecking.  Every slide strictly moves letters
-    toward the front, which bounds the total work.
-    """
-    head: Optional[_Node] = None
-    tail: Optional[_Node] = None
-    for p in factors:
-        if p.is_identity():
-            continue
-        node = _Node(p)
-        if tail is None:
-            head = tail = node
-        else:
-            tail.next = node
-            node.prev = tail
-            tail = node
-
-    work: deque[_Node] = deque()
-    node = head
-    while node is not None and node.next is not None:
-        work.append(node)
-        node = node.next
-
-    while work:
-        left = work.popleft()
-        if left.perm is None:  # unlinked earlier
-            continue
-        right = left.next
-        if right is None:
-            continue
-        slid = left_slide(left.perm, right.perm)
-        if slid is None:
-            continue
-        left.perm, moved = slid
-        if moved.is_identity():
-            nxt = right.next
-            right.perm = None  # mark unlinked
-            left.next = nxt
-            if nxt is not None:
-                nxt.prev = left
-                work.append(left)
-        else:
-            right.perm = moved
-            work.append(right)
-        if left.prev is not None:
-            work.append(left.prev)
-
-    out = []
-    node = head
-    while node is not None:
-        out.append(node.perm)
-        node = node.next
-    return tuple(out)
+    return _left_weighted(a.image, b.image)
 
 
 @dataclass(frozen=True)
@@ -187,32 +168,43 @@ class NormalForm:
         return multiply(self, other)
 
 
+def _normal_form(strands: int, factors: list[Image]) -> NormalForm:
+    return NormalForm(strands, tuple(Permutation(f) for f in factors))
+
+
 def normal_form(w: BraidWord) -> NormalForm:
     """The unique left-weighted factorisation of a positive word."""
-    simples = (Permutation.simple(i, w.strands) for i in w.letters)
-    return NormalForm(w.strands, _renormalize(simples))
+    n = w.strands
+    factors: list[Image] = []
+    # strand labels by position, within the permutation braid being cut
+    arrangement = list(range(1, n + 1))
+    for i in w.letters:
+        if arrangement[i - 1] > arrangement[i]:  # these two strands crossed already
+            _fold(factors, _inverse(arrangement))
+            arrangement = list(range(1, n + 1))
+        arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
+    if w.letters:
+        _fold(factors, _inverse(arrangement))
+    return _normal_form(n, factors)
 
 
 def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    return NormalForm(a.strands, _renormalize(a.factors + b.factors))
+    product = _product([f.image for f in a.factors], [f.image for f in b.factors])
+    return _normal_form(a.strands, product)
 
 
 def nf_power(a: NormalForm, k: int) -> NormalForm:
-    """k-th power computed factor-wise, by repeated squaring of normal forms."""
+    """
+    k-th power computed factor-wise: a's factors folded on k times.
+
+    The work grows with the number of factors folded in; repeated squaring,
+    which folds a^j onto a^j, folds in up to about twice as many.
+    """
     if k < 0:
         raise ValueError("negative powers of positive braids do not exist")
-    result = NormalForm(a.strands, ())
-    base = a
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base_needed = k > 1
-        if base_needed:
-            base = multiply(base, base)
-        k >>= 1
-    return result
+    return _normal_form(a.strands, _product([], [f.image for f in a.factors] * k))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

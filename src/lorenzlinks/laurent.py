@@ -56,12 +56,6 @@ class LaurentPoly:
     def span(self) -> int:
         return self.max_degree - self.min_degree
 
-    def coefficient(self, e: int) -> int:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         coeffs = dict(self.terms)
         for e, c in other.terms:

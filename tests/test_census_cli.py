@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,10 +101,10 @@ def test_report_known_vector():
 
 def test_report_all_order_and_determinism():
     entries = load_census()[:20]
-    seq = report_all(entries)
-    par = report_all(entries, workers=4)
-    assert [r.name for r in seq] == [e.name for e in entries]
-    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+    first = report_all(entries)
+    second = report_all(entries)
+    assert [r.name for r in first] == [e.name for e in entries]
+    assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
 def test_report_all_never_aborts():
@@ -219,6 +223,23 @@ def test_cli_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_runs_as_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lorenzlinks.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    bad = run("is-torus", "not a vector")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
+    ok = run("--json", "census", "report")
+    assert ok.returncode == 0
+    assert len(json.loads(ok.stdout)) == 112
 
 
 def test_cli_json_round_trip(capsys):

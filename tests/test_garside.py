@@ -8,6 +8,7 @@ from lorenzlinks import BraidWord, bracket, normal_form, periodic_word, power, w
 from lorenzlinks.garside import (
     central_power,
     is_left_weighted,
+    left_slide,
     meet,
     multiply,
     nf_power,
@@ -64,12 +65,25 @@ def test_central_power_matches_engine():
             assert central_power(t, q) == normal_form(periodic_word(t, t * q))
 
 
+def _run_then_commuting(rng, n):
+    """A long run of one generator, then letters commuting with it."""
+    g = rng.randint(1, n - 1)
+    far = [i for i in range(1, n) if abs(i - g) > 1] or [g]
+    return (g,) * rng.randint(1, 30) + tuple(rng.choice(far) for _ in range(rng.randint(0, 20)))
+
+
 def test_length_conservation_and_left_weighting():
     rng = random.Random(13)
+    words = []
     for _ in range(300):
         n = rng.randint(2, 8)
-        length = rng.randint(0, 40)
-        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(length)))
+        letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 40)))
+        words.append(BraidWord(n, letters))
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        words.append(BraidWord(n, _run_then_commuting(rng, n)))
+    for w in words:
+        length = len(w)
         nf = normal_form(w)
         assert nf.letter_count == length
         assert all(not f.is_identity() for f in nf.factors)
@@ -125,6 +139,22 @@ def test_meet_is_weak_order_meet():
         # every common left-dividing generator divides the meet
         for i in u.descents & v.descents:
             assert i in m.descents
+
+
+def test_left_slide_contract():
+    rng = random.Random(43)
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        a = Permutation.from_letters(n, [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))])
+        b = Permutation.from_letters(n, [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))])
+        slid = left_slide(a, b)
+        assert (slid is None) == is_left_weighted(a, b)
+        if slid is None:
+            continue
+        a2, b2 = slid
+        assert is_left_weighted(a2, b2)
+        assert a2.inversions() + b2.inversions() == a.inversions() + b.inversions()
+        assert a2.then(b2) == a.then(b)
 
 
 def test_right_complement():
