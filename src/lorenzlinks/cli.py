@@ -25,6 +25,7 @@ from .lorenz import (
     format_vector,
     lorenz_permutation,
     minimal_braid_word,
+    minimal_word_from_triple,
     normalize,
     parse_vector,
     tm_triple,
@@ -112,9 +113,8 @@ def _cmd_tbraid(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    v = parse_vector(args.vector)
-    word = minimal_braid_word(v)
-    triple = tm_triple(v)
+    triple = tm_triple(parse_vector(args.vector))
+    word = minimal_word_from_triple(triple)
     _emit(
         args,
         format_word(word),

@@ -28,9 +28,9 @@ from .laurent import LaurentPoly, geometric, normalize_units, poly_equal_up_to_u
 from .lorenz import (
     UNKNOT,
     LorenzVector,
+    _milestone_sizes,
     format_vector,
     lorenz_permutation,
-    milestone_words,
     normalize,
 )
 
@@ -101,13 +101,13 @@ _UNKNOT_REPORT = InvariantReport(
 
 
 def invariant_report(v: LorenzVector) -> InvariantReport:
-    """Full invariant report; the input is normalized first."""
+    """Full invariant report of the normalized input, from closed forms."""
     nv = normalize(v)
     if nv is UNKNOT:
         return _UNKNOT_REPORT
     mu = cycle_count(lorenz_permutation(nv))
-    mw = milestone_words(nv)
-    cmn = mw.c_minus_n
+    crossings, braid_indices = _milestone_sizes(nv)
+    cmn = crossings["lorenz"] - braid_indices["lorenz"]
     twice_genus = cmn + 2 - mu
     if twice_genus < 0 or twice_genus % 2:
         raise AssertionError(f"genus formula broke on {format_vector(nv)}")
@@ -117,11 +117,11 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
         components=mu,
         genus=genus,
         unknotting_number=genus + mu - 1,
-        trip=mw.minimal.strands,
+        trip=braid_indices["minimal"],
         c_minus_n=cmn,
-        crossings=mw.crossings,
-        braid_indices=mw.braid_indices,
-        min_crossing_number=len(mw.minimal),
+        crossings=crossings,
+        braid_indices=braid_indices,
+        min_crossing_number=crossings["minimal"],
         degree_prediction=cmn + 1,
         t_braid_crossing_bound=4 * genus + 2 * mu - 2,
     )

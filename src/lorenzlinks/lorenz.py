@@ -174,13 +174,18 @@ def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
 
 
 def normalize(v: LorenzVector) -> MaybeUnknot:
-    """Destabilize to a normalized vector, or to the unknot verdict."""
-    final = v
-    for step in normalize_steps(v):
-        final = step
-    if final.p <= 1:
+    """
+    Destabilize to a normalized vector, or to the unknot verdict: the moves of
+    normalize_steps in one pass.  The leading 1s go, then d_p falls to d_{p-1};
+    a decrement never makes a leading 1.
+    """
+    d = v.d
+    start = 0
+    while start < len(d) and d[start] == 1:
+        start += 1
+    if len(d) - start <= 1:
         return UNKNOT
-    return final
+    return v if v.is_normalized else LorenzVector(d[start:-1] + (d[-2],))
 
 
 def lorenz_permutation(v: LorenzVector) -> Permutation:
@@ -188,16 +193,10 @@ def lorenz_permutation(v: LorenzVector) -> Permutation:
     The permutation of the Lorenz braid: i -> i + d_i for the overcrossing
     strands, remaining start positions to remaining end positions in order.
     """
-    n = v.strands
-    image = [0] * n
-    over_ends = set()
-    for i, di in enumerate(v.d, start=1):
-        image[i - 1] = i + di
-        over_ends.add(i + di)
-    free_ends = sorted(set(range(1, n + 1)) - over_ends)
-    for start, end in zip(range(v.p + 1, n + 1), free_ends):
-        image[start - 1] = end
-    return Permutation(tuple(image))
+    over = [i + di for i, di in enumerate(v.d, start=1)]
+    taken = set(over)
+    under = [end for end in range(1, v.strands + 1) if end not in taken]
+    return Permutation(tuple(over + under))
 
 
 def lorenz_braid_word(v: LorenzVector) -> BraidWord:
@@ -208,7 +207,8 @@ def lorenz_braid_word(v: LorenzVector) -> BraidWord:
 def trip_number(v: LorenzVector) -> int:
     """t = #{i : i + d_i > p}; the minimal braid index of the closure."""
     _require_normalized(v)
-    return sum(1 for i, di in enumerate(v.d, start=1) if i + di > v.p)
+    p = v.p
+    return sum(1 for i, di in enumerate(v.d, start=1) if i + di > p)
 
 
 @dataclass(frozen=True)
@@ -384,6 +384,21 @@ class Milestones:
     def c_minus_n(self) -> int:
         """Crossings minus strands; identical for all four representations."""
         return len(self.lorenz) - self.lorenz.strands
+
+
+def _milestone_sizes(v: LorenzVector) -> tuple[dict[str, int], dict[str, int]]:
+    """
+    Crossings and strands of the milestone words of a normalized vector, keyed
+    as in Milestones.words, from closed forms; no word is built.  The T-braid
+    has sum s_i (r_i - 1) = S - p crossings, and the dual vector has the same
+    total S with p and d_p swapped.
+    """
+    total, p, dp, t = v.total, v.p, v.dp, trip_number(v)
+    return (
+        {"lorenz": total, "t": total - p, "t_dual": total - dp,
+         "minimal": total + t - p - dp},
+        {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t},
+    )
 
 
 def milestone_words(v: LorenzVector) -> Milestones:

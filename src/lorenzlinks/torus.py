@@ -8,6 +8,8 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t and delta^(tq) are the same
 element.  The power is taken factor-wise through the normal-form engine.
+|M| and t have closed forms in the vector, so M is built only for a vector
+that passes both length rules.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .garside import central_power, nf_power, normal_form
-from .lorenz import UNKNOT, LorenzVector, minimal_braid_word, normalize
+from .lorenz import UNKNOT, LorenzVector, _milestone_sizes, minimal_braid_word, normalize
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,14 @@ def is_torus(v: LorenzVector) -> TorusVerdict:
     nv = normalize(v)
     if nv is UNKNOT:
         return UNKNOT_VERDICT
-    word = minimal_braid_word(nv)
-    t = word.strands
-    length = len(word)
+    crossings, strands = _milestone_sizes(nv)
+    t, length = strands["minimal"], crossings["minimal"]
     if length % (t - 1):
         return NOT_TORUS
     q = length // (t - 1)
     if q < t:
         # Torus links of braid index t need q >= t full passes.
         return NOT_TORUS
-    if nf_power(normal_form(word), t) == central_power(t, q):
+    if nf_power(normal_form(minimal_braid_word(nv)), t) == central_power(t, q):
         return TorusVerdict("torus", t, q)
     return NOT_TORUS

@@ -1,9 +1,11 @@
 import math
 import random
+import statistics
+import time
 
 import pytest
 
-from helpers import random_normalized_vector
+from helpers import fitted_exponent, random_normalized_vector
 from lorenzlinks import (
     BraidWord,
     burau_alexander,
@@ -11,6 +13,7 @@ from lorenzlinks import (
     load_census,
     milestone_words,
     morton_alexander,
+    normalize,
     parse_vector,
     periodic_word,
     poly_equal_up_to_units,
@@ -75,6 +78,46 @@ def test_genus_consistent_across_milestones():
         for name, c in mw.crossings.items():
             n = mw.braid_indices[name]
             assert 2 * rep.genus == c - n + 2 - rep.components
+
+
+def test_closed_forms_match_word_route():
+    rng = random.Random(29)
+    vectors = [e.vector for e in load_census() if e.known]
+    assert len(vectors) == 107
+    vectors += [random_normalized_vector(rng) for _ in range(200)]
+    vectors += [random_normalized_vector(rng, max_p=80, max_r=40, max_k=6)
+                for _ in range(50)]
+    for v in vectors:
+        rep = invariant_report(v)
+        mw = milestone_words(normalize(v))
+        assert list(rep.crossings.items()) == list(mw.crossings.items()), v
+        assert list(rep.braid_indices.items()) == list(mw.braid_indices.items()), v
+        assert rep.c_minus_n == mw.c_minus_n
+        assert rep.min_crossing_number == len(mw.minimal)
+        assert rep.trip == mw.minimal.strands
+
+
+@pytest.mark.slow
+def test_invariant_report_linear_in_p():
+    sizes = [500, 1000, 2000, 4000]
+    vectors = [parse_vector(f"3^{p // 2},7^{p // 2}") for p in sizes]
+    for p, v in zip(sizes, vectors):
+        assert invariant_report(v).crossings["lorenz"] == 5 * p
+    # Each round times every size back to back, about 20 ms each, and fits
+    # one exponent.  The machine's speed can change between rounds by half;
+    # a per-round fit cancels that, where best-of times per size do not.
+    exponents = []
+    for _ in range(9):
+        times = []
+        for p, v in zip(sizes, vectors):
+            calls = 20000 // p
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                invariant_report(v)
+            times.append((time.perf_counter() - t0) / calls)
+        exponents.append(fitted_exponent(sizes, times))
+    exponent = statistics.median(exponents)
+    assert exponent <= 1.2, (sizes, exponents)
 
 
 def test_morton_explicit_value():

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -85,6 +86,34 @@ def test_normalize_preserves_c_minus_n():
         before = v.total - v.strands
         for step in normalize_steps(v):
             assert step.total - step.strands == before
+
+
+def _normalize_by_steps(v):
+    final = v
+    for step in normalize_steps(v):
+        final = step
+    return UNKNOT if final.p <= 1 else final
+
+
+def test_normalize_agrees_with_steps():
+    rng = random.Random(17)
+    for _ in range(3000):
+        ones = rng.choice((0, 0, 1, 2, 6))
+        p = rng.randint(0 if ones else 1, 10)
+        d = sorted(rng.randint(1, 9) for _ in range(p))
+        if d and rng.random() < 0.5:
+            d[-1] += rng.randint(1, 300)  # a long run of decrements
+        v = LorenzVector((1,) * ones + tuple(d))
+        assert normalize(v) == _normalize_by_steps(v), v
+
+
+def test_normalize_long_decrement_is_fast():
+    v = parse_vector("2^1000,20000")
+    t0 = time.perf_counter()
+    nv = normalize(v)
+    elapsed = time.perf_counter() - t0
+    assert nv == LorenzVector((2,) * 1001)
+    assert elapsed < 0.05, elapsed
 
 
 def test_lorenz_permutation_favorite():
