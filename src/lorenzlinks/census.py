@@ -21,7 +21,7 @@ from .invariants import InvariantReport, invariant_report
 from .lorenz import LorenzVector, format_vector, parse_vector
 from .torus import TorusVerdict, is_torus
 
-REPORT_SCHEMA = "lorenzlinks.report/1"
+REPORT_SCHEMA = "lorenzlinks.report/2"
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class Report:
             "vector": None if self.vector is None else format_vector(self.vector),
             "invariants": None if self.invariants is None else self.invariants.to_dict(),
             "torus": None if self.torus is None else str(self.torus),
+            "torus_decided_by": None if self.torus is None else self.torus.decided_by,
             "warnings": list(self.warnings),
             "error": self.error,
         }

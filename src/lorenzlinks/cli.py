@@ -186,7 +186,8 @@ def _cmd_is_torus(args) -> int:
     _emit(
         args,
         str(verdict),
-        payload={"verdict": str(verdict), "torus": verdict.is_torus},
+        payload={"verdict": str(verdict), "torus": verdict.is_torus,
+                 "decided_by": verdict.decided_by},
     )
     return 0
 

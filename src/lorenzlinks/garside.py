@@ -120,6 +120,20 @@ def _product(left: list[Image], right: list[Image]) -> list[Image]:
     return out
 
 
+def _power_within(factors: list[Image], k: int, limit: int) -> Optional[list[Image]]:
+    """
+    The factors of a^k, from a's factors, or None once a prefix of the fold
+    has more than limit factors; a prefix left-divides a^k, so a^k has too.
+    """
+    out: list[Image] = []
+    for _ in range(k):
+        for s in factors:
+            _fold(out, s)
+            if len(out) > limit:
+                return None
+    return out
+
+
 def right_complement(p: Permutation) -> Permutation:
     """The permutation c with p.then(c) = Delta and additive lengths."""
     return Permutation(_complement(p.image))

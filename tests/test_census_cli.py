@@ -10,6 +10,7 @@ from lorenzlinks import (
     burau_alexander,
     cli,
     format_tparams,
+    format_vector,
     invariant_report,
     is_torus,
     load_census,
@@ -188,6 +189,18 @@ def test_cli_alexander_burau(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_cli_alexander_burau_covers_census(capsys):
+    # the default caps admit every known census knot; span = 2g
+    for entry in load_census():
+        if not entry.known:
+            continue
+        text = format_vector(entry.vector)
+        assert cli.main(["--json", "alexander", "--burau", text]) == 0, entry.name
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        span = terms[-1][0] - terms[0][0]
+        assert span == 2 * invariant_report(entry.vector).genus, entry.name
+
+
 def test_cli_is_torus_unknot(capsys):
     assert cli.main(["is-torus", "1,1,7"]) == 0
     assert capsys.readouterr().out.strip() == "Unknot"
@@ -251,7 +264,16 @@ def test_cli_json_round_trip(capsys):
     assert cli.main(["--json", "census", "report"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 112
+    assert REPORT_SCHEMA == "lorenzlinks.report/2"
     assert all(r["schema"] == REPORT_SCHEMA for r in reports)
+    decided = [r["torus_decided_by"] for r in reports]
+    assert decided.count(None) == 5  # the unknown rows
+    assert set(decided) == {None, "length", "components", "factor_bound"}
+
+    assert cli.main(["--json", "is-torus", "3^6,8^3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "Torus(3,14)", "torus": True, "decided_by": "garside",
+    }
     # serialization fidelity: re-dumping the parsed payload is stable
     assert json.loads(json.dumps(reports)) == reports
 

@@ -12,6 +12,7 @@ from lorenzlinks import (
     invariant_report,
     load_census,
     milestone_words,
+    minimal_braid_word,
     morton_alexander,
     normalize,
     parse_vector,
@@ -152,7 +153,7 @@ def test_burau_guards():
     with pytest.raises(UnsupportedInput):
         burau_alexander(BraidWord(12, (1,) * 4))
     with pytest.raises(UnsupportedInput):
-        burau_alexander(BraidWord(2, (1,) * 61))
+        burau_alexander(BraidWord(2, (1,) * 121))
 
 
 def test_alexander_agrees_across_all_milestones():
@@ -179,22 +180,19 @@ def test_morton_vs_burau_cross_oracle():
 
 
 def test_alexander_span_is_twice_genus_on_census():
-    # span of the Alexander polynomial = 2g for fibered knots; checked on all
-    # census entries small enough for the Burau oracle
+    # span of the Alexander polynomial = 2g for fibered knots; checked on the
+    # minimal word of every known census row, at the default caps
     checked = 0
     for entry in load_census():
         if not entry.known:
             continue
         rep = invariant_report(entry.vector)
         assert rep.components == 1, entry.name
-        word = tbraid_word(vector_to_tparams(rep.vector))
-        if len(word) > 40 or word.strands > 12:
-            continue
-        poly = burau_alexander(word, max_strands=12, max_letters=40)
+        poly = burau_alexander(minimal_braid_word(rep.vector))
         assert poly.span == 2 * rep.genus, entry.name
         assert poly.span == rep.degree_prediction  # c - n + 1, mu = 1
         checked += 1
-    assert checked >= 15
+    assert checked == 107
 
 
 def test_c4g_bound_on_census():

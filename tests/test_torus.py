@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -8,15 +9,18 @@ from lorenzlinks import (
     LorenzVector,
     TParams,
     is_torus,
+    load_census,
     minimal_braid_word,
+    normal_form,
     normalize,
     parse_vector,
     torus_simplify,
     tparams_to_vector,
     vector_to_tparams,
 )
-from lorenzlinks.lorenz import UNKNOT
-from lorenzlinks.torus import TorusVerdict
+from lorenzlinks.garside import central_power, nf_power
+from lorenzlinks.lorenz import UNKNOT, _milestone_sizes
+from lorenzlinks.torus import NOT_TORUS, TorusVerdict
 
 
 def test_verdict_type():
@@ -55,6 +59,60 @@ def test_torus_vectors_swapped_orientation():
 def test_hyperbolic_census_knot_is_not_torus():
     # the (-2,3,7)-pretzel, census knot k3_1
     assert str(is_torus(parse_vector("2^2,3^5"))) == "NotTorus"
+
+
+def test_verdict_names_its_rung():
+    cases = {
+        "1,1,4": ("Unknot", "unknot"),
+        "6^6,8^5": ("NotTorus", "length"),
+        "2^2,3^5": ("NotTorus", "components"),
+        "2^4,3^2,6,8^2": ("NotTorus", "factor_bound"),
+        "3^6,8^3": ("Torus(3,14)", "garside"),
+    }
+    for text, expected in cases.items():
+        verdict = is_torus(parse_vector(text))
+        assert (str(verdict), verdict.decided_by) == expected, text
+    # one shared verdict per rung; the rung takes no part in equality
+    assert is_torus(parse_vector("2^2,3^5")) is NOT_TORUS["components"]
+    assert NOT_TORUS["components"] == NOT_TORUS["factor_bound"] == TorusVerdict("not-torus")
+
+
+def test_cheap_rungs_agree_with_full_power():
+    # Every vector that passes both length rules, decided by components, the
+    # factor bound or Garside equality, against the full power M^t.
+    rng = random.Random(17)
+    rungs = collections.Counter()
+    while sum(rungs.values()) < 2000:
+        v = random_normalized_vector(rng, max_p=18, max_r=8)
+        crossings, strands = _milestone_sizes(v)
+        t, length = strands["minimal"], crossings["minimal"]
+        if length % (t - 1) or length // (t - 1) < t:
+            continue
+        q = length // (t - 1)
+        verdict = is_torus(v)
+        rungs[verdict.decided_by] += 1
+        full = nf_power(normal_form(minimal_braid_word(v)), t) == central_power(t, q)
+        assert verdict.is_torus == full, (v, verdict.decided_by)
+        assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
+    assert rungs["components"] >= 300 and rungs["factor_bound"] >= 200, rungs
+
+
+def test_census_rung_histogram():
+    rungs = collections.Counter(
+        is_torus(entry.vector).decided_by for entry in load_census() if entry.known
+    )
+    # no census row reaches the Garside comparison
+    assert rungs == {"length": 72, "components": 11, "factor_bound": 24}
+
+
+def test_long_vectors_decided_by_components():
+    # closures with the wrong component count never reach the power
+    for text in ("2^200,9^300", "3^219,10^101,46^116,47^162,48^12"):
+        t0 = time.perf_counter()
+        verdict = is_torus(parse_vector(text))
+        elapsed = time.perf_counter() - t0
+        assert (str(verdict), verdict.decided_by) == ("NotTorus", "components")
+        assert elapsed < 0.1, (text, elapsed)
 
 
 def test_length_soundness():
