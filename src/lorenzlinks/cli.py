@@ -3,8 +3,9 @@ Command-line interface.
 
 Exit codes: 0 on success (verdicts such as NotTorus or "not equal" are
 output, not errors), 1 on domain errors (valid syntax, unusable value), 2 on
-usage or parse errors.  --json switches every subcommand to a machine
-readable payload; --quiet suppresses warnings and secondary output lines.
+usage or parse errors, a census file that cannot be read among them.  --json
+switches every subcommand to a machine readable payload; --quiet suppresses
+warnings and secondary output lines.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         warnings.simplefilter("ignore")
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: the census file cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -7,10 +7,10 @@ nonidentity permutation braids that is left weighted: for each adjacent pair
 a permutation braid.  Comparing factor sequences therefore decides equality
 of positive words in the braid group.
 
-Inside, factors are plain image tuples (the braid.Permutation convention)
-and descent sets are int bitmasks, bit i for sigma_i.  (A, B) is left
-weighted iff desc(B) & ~desc(A^{-1}) == 0; otherwise a slide moves
-meet(B, A^{-1} Delta) from the front of B onto A.  Products use the classical
+Inside, factors are plain image tuples (the braid.Permutation convention).
+A slide moves c = meet(B, A^{-1} Delta) from the front of B onto A, and
+(A, B) is left weighted exactly when c is trivial: the descents of
+A^{-1} Delta are the complement of those of A^{-1}.  Products use the classical
 fold (Epstein et al., Word Processing in Groups, ch. 9; Elrifai-Morton 1994):
 a simple element is appended to a left-weighted list, then one right-to-left
 pass of slides deletes any right factor that empties and stops at the first
@@ -47,11 +47,6 @@ def _inverse(p: Image) -> Image:
     return tuple(inv)
 
 
-def _descents(p: Image) -> int:
-    """Bitmask of the sigma_i dividing p on the left: bit i iff p(i) > p(i+1)."""
-    return sum(1 << i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
 def _complement(p: Image) -> Image:
     """p^{-1} Delta: the simple c with p c = Delta and additive lengths."""
     top = len(p) + 1
@@ -82,16 +77,12 @@ def _strip(u: list[int], v: list[int]) -> list[int]:
     return letters
 
 
-def _left_weighted(a: Image, b: Image) -> bool:
-    return not _descents(b) & ~_descents(_inverse(a))
-
-
 def _slide(a: Image, b: Image) -> Optional[tuple[Image, Image]]:
-    """(a c, c^{-1} b) for c = meet(b, a^{-1} Delta), or None if (a, b) is left weighted."""
-    if _left_weighted(a, b):
-        return None
+    """(a c, c^{-1} b) for c = meet(b, a^{-1} Delta), or None if c is trivial,
+    that is, if (a, b) is left weighted."""
     rest, head = list(_complement(a)), list(b)
-    _strip(rest, head)  # rest is now the complement of a c
+    if not _strip(rest, head):  # rest is now the complement of a c
+        return None
     top = len(a) + 1
     return _inverse(tuple(top - x for x in rest)), tuple(head)
 
@@ -113,24 +104,19 @@ def _fold(factors: list[Image], s: Image) -> None:
         j -= 1
 
 
-def _product(left: list[Image], right: list[Image]) -> list[Image]:
+def _product(
+    left: list[Image], right: list[Image], limit: Optional[int] = None
+) -> Optional[list[Image]]:
+    """
+    The factors of left * right, or None once the fold holds more than limit
+    factors: the fold so far left-divides the product, so the product has
+    more than limit factors too.
+    """
     out = list(left)
     for s in right:
         _fold(out, s)
-    return out
-
-
-def _power_within(factors: list[Image], k: int, limit: int) -> Optional[list[Image]]:
-    """
-    The factors of a^k, from a's factors, or None once a prefix of the fold
-    has more than limit factors; a prefix left-divides a^k, so a^k has too.
-    """
-    out: list[Image] = []
-    for _ in range(k):
-        for s in factors:
-            _fold(out, s)
-            if len(out) > limit:
-                return None
+        if limit is not None and len(out) > limit:
+            return None
     return out
 
 
@@ -159,7 +145,8 @@ def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Pe
 
 
 def is_left_weighted(a: Permutation, b: Permutation) -> bool:
-    return _left_weighted(a.image, b.image)
+    """Whether every sigma_i dividing b on the left divides a^{-1} on the left."""
+    return b.descents <= a.inverse.descents
 
 
 @dataclass(frozen=True)
@@ -186,8 +173,8 @@ def _normal_form(strands: int, factors: list[Image]) -> NormalForm:
     return NormalForm(strands, tuple(Permutation(f) for f in factors))
 
 
-def normal_form(w: BraidWord) -> NormalForm:
-    """The unique left-weighted factorisation of a positive word."""
+def _word_factors(w: BraidWord) -> list[Image]:
+    """The left-weighted factors of a positive word, as image tuples."""
     n = w.strands
     factors: list[Image] = []
     # strand labels by position, within the permutation braid being cut
@@ -199,7 +186,12 @@ def normal_form(w: BraidWord) -> NormalForm:
         arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
     if w.letters:
         _fold(factors, _inverse(arrangement))
-    return _normal_form(n, factors)
+    return factors
+
+
+def normal_form(w: BraidWord) -> NormalForm:
+    """The unique left-weighted factorisation of a positive word."""
+    return _normal_form(w.strands, _word_factors(w))
 
 
 def multiply(a: NormalForm, b: NormalForm) -> NormalForm:

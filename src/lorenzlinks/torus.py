@@ -7,16 +7,20 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 |M| / (t-1).  Conjugacy is then reduced to the word problem: delta = [1,t]
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
-|M| and t have closed forms in the vector.  Two cheap rungs come before the
-full power:
+|M| and t have closed forms in the vector.  The minimal word begins with
+[1,t]^t, which has t(t-1) letters, so q >= t needs no test.  One cheap rung
+comes before the power:
 
 - components: delta^q permutes the strands as the q-th power of a t-cycle,
   so T(t, q) has gcd(t, q) components, counted here without a word.
-- factor bound: if M^t = Delta^(2q), every prefix of the fold of M's factors
-  left-divides Delta^(2q), so it has at most 2q left-greedy factors.
 
-A fold within 2q factors has the 2q |Delta| letters of M^t, so it is the 2q
-half twists; the final comparison is the Garside verdict.
+Then the factors of M are folded t times, stopping past 2q factors:
+
+- factor bound: if M^t = Delta^(2q), every prefix of the fold left-divides
+  Delta^(2q), so it has at most 2q left-greedy factors.
+- garside: a fold of M^t within 2q factors is Delta^(2q).  It holds the
+  t q (t-1) letters of M^t, and a simple factor has at most t(t-1)/2
+  letters, with exactly that many only for Delta, so every factor is Delta.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import gcd
 from typing import Optional
 
 from .braid import cycle_count
-from .garside import _power_within, normal_form
+from .garside import _product, _word_factors
 from .lorenz import (UNKNOT, LorenzVector, _milestone_sizes, lorenz_permutation,
                      minimal_braid_word, normalize)
 
@@ -39,7 +43,8 @@ class TorusVerdict:
     kind: str  # "torus" | "not-torus" | "unknot"
     t: Optional[int] = None
     q: Optional[int] = None
-    # "unknot" | "length" | "q_lt_t" | "components" | "factor_bound" | "garside"
+    # "unknot" | "length" | "components" | "factor_bound" | "garside"; only
+    # Torus verdicts are decided by "garside"
     decided_by: str = field(default="garside", compare=False)
 
     def __post_init__(self) -> None:
@@ -58,7 +63,7 @@ class TorusVerdict:
 
 
 NOT_TORUS = {rung: TorusVerdict("not-torus", decided_by=rung) for rung in
-             ("length", "q_lt_t", "components", "factor_bound", "garside")}
+             ("length", "components", "factor_bound")}
 UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 
 
@@ -72,15 +77,9 @@ def is_torus(v: LorenzVector) -> TorusVerdict:
     if length % (t - 1):
         return NOT_TORUS["length"]
     q = length // (t - 1)
-    if q < t:
-        # Torus links of braid index t need q >= t full passes.
-        return NOT_TORUS["q_lt_t"]
     if cycle_count(lorenz_permutation(nv)) != gcd(t, q):
         return NOT_TORUS["components"]
-    factors = [f.image for f in normal_form(minimal_braid_word(nv)).factors]
-    power = _power_within(factors, t, 2 * q)
-    if power is None:
+    factors = _word_factors(minimal_braid_word(nv))
+    if _product([], factors * t, 2 * q) is None:
         return NOT_TORUS["factor_bound"]
-    if power == [tuple(range(t, 0, -1))] * (2 * q):
-        return TorusVerdict("torus", t, q)
-    return NOT_TORUS["garside"]
+    return TorusVerdict("torus", t, q)

@@ -222,10 +222,15 @@ def test_cli_quiet_suppresses_details(capsys):
     assert len(out.splitlines()) == 1
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     # parse error -> 2
     assert cli.main(["trip", "zzz"]) == 2
     capsys.readouterr()
+    # a census file that is missing or is a directory -> 2, one error line
+    for path in (tmp_path / "no-such-file", tmp_path):
+        assert cli.main(["census", "report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
     # domain error (non-normalized vector) -> 1
     assert cli.main(["trip", "1,2,2"]) == 1
     capsys.readouterr()

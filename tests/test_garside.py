@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -155,6 +156,25 @@ def test_left_slide_contract():
         assert is_left_weighted(a2, b2)
         assert a2.inversions() + b2.inversions() == a.inversions() + b.inversions()
         assert a2.then(b2) == a.then(b)
+
+
+def test_is_left_weighted_by_definition():
+    # (a, b) is left weighted iff no sigma_i dividing b on the left can move
+    # into a with a staying a permutation braid, i.e. a sigma_i one inversion
+    # longer than a.
+    pairs = weighted = 0
+    for n in range(2, 5):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for a, b in itertools.product(perms, repeat=2):
+            movable = any(
+                b.image[i - 1] > b.image[i]
+                and a.then(Permutation.simple(i, n)).inversions() == a.inversions() + 1
+                for i in range(1, n)
+            )
+            assert is_left_weighted(a, b) == (not movable), (a, b)
+            pairs += 1
+            weighted += not movable
+    assert (pairs, weighted) == (616, 233)
 
 
 def test_right_complement():

@@ -75,24 +75,28 @@ def test_verdict_names_its_rung():
     # one shared verdict per rung; the rung takes no part in equality
     assert is_torus(parse_vector("2^2,3^5")) is NOT_TORUS["components"]
     assert NOT_TORUS["components"] == NOT_TORUS["factor_bound"] == TorusVerdict("not-torus")
+    # "garside" names only Torus verdicts
+    assert set(NOT_TORUS) == {"length", "components", "factor_bound"}
 
 
 def test_cheap_rungs_agree_with_full_power():
-    # Every vector that passes both length rules, decided by components, the
-    # factor bound or Garside equality, against the full power M^t.
+    # Every vector that passes the length rule, decided by components, the
+    # factor bound or a fold within 2q factors, against the full power M^t.
     rng = random.Random(17)
     rungs = collections.Counter()
     while sum(rungs.values()) < 2000:
         v = random_normalized_vector(rng, max_p=18, max_r=8)
         crossings, strands = _milestone_sizes(v)
         t, length = strands["minimal"], crossings["minimal"]
-        if length % (t - 1) or length // (t - 1) < t:
+        if length % (t - 1):
             continue
         q = length // (t - 1)
+        assert q >= t, v  # the minimal word begins with [1,t]^t
         verdict = is_torus(v)
         rungs[verdict.decided_by] += 1
         full = nf_power(normal_form(minimal_braid_word(v)), t) == central_power(t, q)
         assert verdict.is_torus == full, (v, verdict.decided_by)
+        assert (verdict.decided_by == "garside") == full, (v, verdict.decided_by)
         assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
     assert rungs["components"] >= 300 and rungs["factor_bound"] >= 200, rungs
 
@@ -101,7 +105,8 @@ def test_census_rung_histogram():
     rungs = collections.Counter(
         is_torus(entry.vector).decided_by for entry in load_census() if entry.known
     )
-    # no census row reaches the Garside comparison
+    # every census row that passes the length rule is NotTorus, by components
+    # or the factor bound, so none is decided by "garside"
     assert rungs == {"length": 72, "components": 11, "factor_bound": 24}
 
 
