@@ -53,14 +53,18 @@ def load_census(path: Union[str, Path, None] = None) -> list[CensusEntry]:
     """
     Parse a census file: one "name<ws>vector|?" entry per line, "#" comments.
 
-    Raises ParseError with the offending line number on malformed input;
-    duplicate names are rejected.  Vectors written out of order are sorted,
-    recording the warning on the entry.
+    Raises ParseError on a file that is not UTF-8 text, and with the
+    offending line number on malformed input; duplicate names are rejected.
+    Vectors written out of order are sorted, recording the warning on the entry.
     """
     file = Path(path) if path is not None else builtin_census_path()
     entries: list[CensusEntry] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(file.read_text().splitlines(), start=1):
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{file.name}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -43,9 +43,9 @@ from .tlink import (
 from .torus import is_torus
 
 
-def _emit(args, primary: str, details: list[str] | None = None, payload=None):
+def _emit(args, primary: str, details: list[str] | None = None, *, payload: dict):
     if args.json:
-        print(json.dumps(payload if payload is not None else {"result": primary}))
+        print(json.dumps(payload))
         return
     print(primary)
     if details and not args.quiet:
@@ -73,7 +73,7 @@ def _cmd_validate(args) -> int:
         details.append(
             f"trip={payload['trip']} components={payload['components']}"
         )
-    _emit(args, format_vector(v), details, payload)
+    _emit(args, format_vector(v), details, payload=payload)
     return 0
 
 

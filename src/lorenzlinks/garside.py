@@ -9,8 +9,9 @@ of positive words in the braid group.
 
 Inside, factors are plain image tuples (the braid.Permutation convention).
 A slide moves c = meet(B, A^{-1} Delta) from the front of B onto A, and
-(A, B) is left weighted exactly when c is trivial: the descents of
-A^{-1} Delta are the complement of those of A^{-1}.  Products use the classical
+(A, B) is left weighted exactly when c is trivial.  The strip reads the
+left factor's inverse image: the descents of A^{-1} Delta are the ascents of
+A^{-1}, so the complement A^{-1} Delta is never built.  Products use the classical
 fold (Epstein et al., Word Processing in Groups, ch. 9; Elrifai-Morton 1994):
 a simple element is appended to a left-weighted list, then one right-to-left
 pass of slides deletes any right factor that empties and stops at the first
@@ -47,27 +48,22 @@ def _inverse(p: Image) -> Image:
     return tuple(inv)
 
 
-def _complement(p: Image) -> Image:
-    """p^{-1} Delta: the simple c with p c = Delta and additive lengths."""
-    top = len(p) + 1
-    return tuple(top - x for x in _inverse(p))
-
-
-def _strip(u: list[int], v: list[int]) -> list[int]:
+def _strip(ainv: list[int], v: list[int]) -> list[int]:
     """
-    Strip common left divisors from u and v in place; return the letters
-    stripped, a word for meet(u, v).
+    Strip common left divisors from a^{-1} Delta and v in place, given ainv,
+    the inverse image of a; return the letters stripped, a word for the meet.
 
-    Any generator dividing both divides the meet, so greedy stripping is
-    exact.  Removing sigma_i swaps entries i and i+1, which can only create
-    a common descent at i-1 or i+1, so the scan steps back by one.
+    sigma_i divides a^{-1} Delta exactly when ainv[i-1] < ainv[i], and
+    stripping it swaps those two entries.  Greedy stripping is exact, and a
+    swap at i can only create a common divisor at i-1 or i+1, so the scan
+    steps back by one.
     """
     letters = []
-    n = len(u)
+    n = len(v)
     i = 1
     while i < n:
-        if u[i - 1] > u[i] and v[i - 1] > v[i]:
-            u[i - 1], u[i] = u[i], u[i - 1]
+        if ainv[i - 1] < ainv[i] and v[i - 1] > v[i]:
+            ainv[i - 1], ainv[i] = ainv[i], ainv[i - 1]
             v[i - 1], v[i] = v[i], v[i - 1]
             letters.append(i)
             if i > 1:
@@ -80,11 +76,10 @@ def _strip(u: list[int], v: list[int]) -> list[int]:
 def _slide(a: Image, b: Image) -> Optional[tuple[Image, Image]]:
     """(a c, c^{-1} b) for c = meet(b, a^{-1} Delta), or None if c is trivial,
     that is, if (a, b) is left weighted."""
-    rest, head = list(_complement(a)), list(b)
-    if not _strip(rest, head):  # rest is now the complement of a c
+    ainv, head = list(_inverse(a)), list(b)
+    if not _strip(ainv, head):  # ainv is now the inverse image of a c
         return None
-    top = len(a) + 1
-    return _inverse(tuple(top - x for x in rest)), tuple(head)
+    return _inverse(ainv), tuple(head)
 
 
 def _fold(factors: list[Image], s: Image) -> None:
@@ -122,14 +117,16 @@ def _product(
 
 def right_complement(p: Permutation) -> Permutation:
     """The permutation c with p.then(c) = Delta and additive lengths."""
-    return Permutation(_complement(p.image))
+    return Permutation(tuple(p.size + 1 - x for x in p.inverse.image))
 
 
 def meet(u: Permutation, v: Permutation) -> Permutation:
     """Greatest common left divisor of two permutation braids (weak-order meet)."""
     if u.size != v.size:
         raise ValueError("size mismatch")
-    return Permutation.from_letters(u.size, _strip(list(u.image), list(v.image)))
+    top = u.size + 1  # top - u(i) ascends exactly where u descends
+    letters = _strip([top - x for x in u.image], list(v.image))
+    return Permutation.from_letters(u.size, letters)
 
 
 def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Permutation]]:
@@ -164,9 +161,6 @@ class NormalForm:
         return concat_all(
             self.strands, (permutation_braid_word(f) for f in self.factors)
         )
-
-    def __mul__(self, other: "NormalForm") -> "NormalForm":
-        return multiply(self, other)
 
 
 def _normal_form(strands: int, factors: list[Image]) -> NormalForm:

@@ -168,19 +168,18 @@ def _burau_matrix(w: BraidWord) -> list[list[LaurentPoly]]:
     n = w.strands
     k = n - 1
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    t = LaurentPoly.t_power(1)
-    neg_t = -t
     cols = [[one if r == c else zero for r in range(k)] for c in range(k)]
     # sigma_i differs from the identity only in row i:
     #   entry t at column i-1, -t at column i, 1 at column i+1.
-    # Right multiplication therefore touches at most three columns.
+    # Right multiplication therefore touches at most three columns, and the
+    # t entries are applied as exponent shifts, not polynomial products.
     for i in w.letters:
         col_i = cols[i - 1]
         if i >= 2:
-            cols[i - 2] = [a + t * b for a, b in zip(cols[i - 2], col_i)]
+            cols[i - 2] = [a + b.shifted(1) for a, b in zip(cols[i - 2], col_i)]
         if i <= k - 1:
             cols[i] = [a + b for a, b in zip(cols[i], col_i)]
-        cols[i - 1] = [neg_t * b for b in col_i]
+        cols[i - 1] = [-b.shifted(1) for b in col_i]
     return cols
 
 
@@ -232,11 +231,10 @@ def burau_alexander(
         raise UnsupportedInput("closure is not a knot")
     if n == 1:
         return LaurentPoly.one()
+    # det(M - I) is the determinant of its transpose, so the columns serve as rows
     cols = _burau_matrix(w)
     one = LaurentPoly.one()
-    rows = [
-        [cols[c][r] - (one if r == c else LaurentPoly.zero()) for c in range(n - 1)]
-        for r in range(n - 1)
-    ]
-    det = _determinant(rows)
+    for c, col in enumerate(cols):
+        col[c] = col[c] - one
+    det = _determinant(cols)
     return normalize_units(det.exact_div(geometric(n)))

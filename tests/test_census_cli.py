@@ -226,11 +226,14 @@ def test_cli_exit_codes(capsys, tmp_path):
     # parse error -> 2
     assert cli.main(["trip", "zzz"]) == 2
     capsys.readouterr()
-    # a census file that is missing or is a directory -> 2, one error line
-    for path in (tmp_path / "no-such-file", tmp_path):
+    # a census file that is missing, a directory or not UTF-8 -> 2, one error line
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(bytes([0x7F, 0x45, 0x4C, 0x46, 0x02, 0xD0, 0xFF, 0xFE]) * 25)
+    for path in (tmp_path / "no-such-file", tmp_path, binary):
         assert cli.main(["census", "report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "binary.txt" in err
     # domain error (non-normalized vector) -> 1
     assert cli.main(["trip", "1,2,2"]) == 1
     capsys.readouterr()

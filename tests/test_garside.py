@@ -177,14 +177,34 @@ def test_is_left_weighted_by_definition():
     assert (pairs, weighted) == (616, 233)
 
 
+def test_meet_is_longest_common_divisor():
+    # d left-divides x iff stripping d from x stays length-additive; the meet
+    # is the unique longest permutation that left-divides both.
+    def divides(d, x):
+        return d.inversions() + d.inverse.then(x).inversions() == x.inversions()
+
+    pairs = 0
+    for n in range(2, 5):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for u, v in itertools.product(perms, repeat=2):
+            common = [d for d in perms if divides(d, u) and divides(d, v)]
+            longest = max(d.inversions() for d in common)
+            brute = [d for d in common if d.inversions() == longest]
+            assert brute == [meet(u, v)], (u, v)
+            pairs += 1
+    assert pairs == 616
+
+
 def test_right_complement():
-    for n in range(2, 7):
-        for _ in range(20):
-            rng = random.Random(n)
-            p = Permutation.from_letters(n, [rng.randint(1, n - 1) for _ in range(5)])
+    cases = 0
+    for n in range(2, 6):
+        for image in itertools.permutations(range(1, n + 1)):
+            p = Permutation(image)
             c = right_complement(p)
             assert p.then(c) == Permutation.longest(n)
             assert p.inversions() + c.inversions() == n * (n - 1) // 2
+            cases += 1
+    assert cases == 2 + 6 + 24 + 120
 
 
 @pytest.mark.slow
