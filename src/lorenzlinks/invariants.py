@@ -14,6 +14,10 @@ morton_alexander evaluates the closed formula for the doubly twisted torus
 family <2^2m, p^q>, and burau_alexander computes det(rho(w) - I) for the
 reduced Burau matrix of any positive word with knot closure, divided exactly
 by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
+
+The Burau route runs on integers at one packed point t = 2^B, with B set
+from the matrix's own column sums, and reads the coefficients back as signed
+base-2^B digits (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 
 from .braid import BraidWord, cycle_count
 from .errors import UnsupportedInput
-from .laurent import LaurentPoly, geometric, normalize_units, poly_equal_up_to_units
+from .laurent import LaurentPoly, normalize_units, poly_equal_up_to_units
 from .lorenz import (
     UNKNOT,
     LorenzVector,
@@ -163,51 +167,28 @@ def morton_alexander(m: int, p: int, q: int) -> LaurentPoly:
     return normalize_units(num.exact_div(den))
 
 
-def _burau_matrix(w: BraidWord) -> list[list[LaurentPoly]]:
-    """Reduced Burau matrix of a positive word, as a list of columns."""
-    n = w.strands
-    k = n - 1
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    cols = [[one if r == c else zero for r in range(k)] for c in range(k)]
-    # sigma_i differs from the identity only in row i:
-    #   entry t at column i-1, -t at column i, 1 at column i+1.
-    # Right multiplication therefore touches at most three columns, and the
-    # t entries are applied as exponent shifts, not polynomial products.
-    for i in w.letters:
-        col_i = cols[i - 1]
-        if i >= 2:
-            cols[i - 2] = [a + b.shifted(1) for a, b in zip(cols[i - 2], col_i)]
-        if i <= k - 1:
-            cols[i] = [a + b for a, b in zip(cols[i], col_i)]
-        cols[i - 1] = [-b.shifted(1) for b in col_i]
-    return cols
+def _digits(x: int, bits: int) -> list[int]:
+    """Signed base-2^bits digits of x, lowest first, in [-2^(bits-1), 2^(bits-1))."""
+    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+    while x:
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> bits
+    return out
 
 
-def _determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Bareiss fraction-free determinant; every division is exact."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    sign = 1
-    prev = LaurentPoly.one()
-    zero = LaurentPoly.zero()
+def _determinant(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant on integers; every division is exact."""
+    n, sign, prev = len(rows), 1, 1
     for k in range(n - 1):
-        if rows[k][k].is_zero():
-            pivot = next(
-                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
-            )
-            if pivot is None:
-                return zero
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
-                rows[i][j] = num.exact_div(prev)
-            rows[i][k] = zero
-        prev = rows[k][k]
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+        pivot = next((i for i in range(k, n) if rows[i][k]), k)
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(top[k] * x - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k] or 1  # a zero column has zeroed every later entry
+    return sign * rows[-1][-1]
 
 
 def burau_alexander(
@@ -220,7 +201,8 @@ def burau_alexander(
     Only knot closures are supported (one cycle), and input size is capped by
     default since the determinant cost grows quickly.  The default caps, 10
     strands and 120 letters, admit the minimal word of every known census
-    knot: the longest has 116 letters and the widest 9 strands.
+    knot: the longest has 116 letters and the widest 9 strands.  Closures of
+    positive braids are fibred: Delta must be monic of span len(w) - n + 1.
     """
     n = w.strands
     if n > max_strands or len(w) > max_letters:
@@ -231,10 +213,32 @@ def burau_alexander(
         raise UnsupportedInput("closure is not a knot")
     if n == 1:
         return LaurentPoly.one()
+    # sigma_i differs from the identity only in row i (t, -t, 1 at columns i-1,
+    # i, i+1), so it adds column i to its neighbours; the same update on sums
+    # bounds each column's coefficients.  Columns 0 and n pad both ends.
+    sums = [1] * (n + 1)
+    for i in w.letters:
+        sums[i - 1] += sums[i]
+        sums[i + 1] += sums[i]
+    b = max(sums[1:n]).bit_length() + 2
+    cols = [[int(r == c) for r in range(1, n)] for c in range(n + 1)]
+    for i in w.letters:
+        col = cols[i]
+        cols[i - 1] = [a + (x << b) for a, x in zip(cols[i - 1], col)]
+        cols[i + 1] = [a + x for a, x in zip(cols[i + 1], col)]
+        cols[i] = [-(x << b) for x in col]
+    entries = [[_digits(x - (r == c), b) for r, x in enumerate(cols[c], 1)]
+               for c in range(1, n)]  # M - I, one digit list per entry
+    bound = 2 * math.prod(max(1, sum(abs(d) for e in c for d in e)) for c in entries)
+    big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
     # det(M - I) is the determinant of its transpose, so the columns serve as rows
-    cols = _burau_matrix(w)
-    one = LaurentPoly.one()
-    for c, col in enumerate(cols):
-        col[c] = col[c] - one
-    det = _determinant(cols)
-    return normalize_units(det.exact_div(geometric(n)))
+    det = _determinant([[sum(d << (big * j) for j, d in enumerate(e)) for e in col]
+                        for col in entries])
+    quot, rem = divmod(det, ((1 << (big * n)) - 1) // ((1 << big) - 1))
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    poly = normalize_units(LaurentPoly.from_dict(dict(enumerate(_digits(quot, big)))))
+    ends = {abs(c) for _, c in poly.terms[:1] + poly.terms[-1:]}
+    if ends != {1} or poly.span != len(w) - n + 1:
+        raise AssertionError(f"Burau result is not monic of span {len(w) - n + 1}")
+    return poly

@@ -150,7 +150,3 @@ def poly_equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
     """Equality up to multiplication by +-t^j."""
     return normalize_units(a) == normalize_units(b)
 
-
-def geometric(n: int) -> LaurentPoly:
-    """1 + t + ... + t^(n-1)."""
-    return LaurentPoly.from_dict({e: 1 for e in range(n)})

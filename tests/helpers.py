@@ -6,7 +6,7 @@ import itertools
 import math
 import random
 
-from lorenzlinks import BraidWord, LorenzVector
+from lorenzlinks import BraidWord, LaurentPoly, LorenzVector, normalize_units
 
 
 def random_normalized_vector(
@@ -96,3 +96,63 @@ def fitted_exponent(sizes: list[int], times: list[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
         (x - mx) ** 2 for x in xs
     )
+
+
+# The Burau route as it was on Laurent polynomials, kept as the oracle for the
+# packed-integer route in lorenzlinks.invariants.
+def _burau_matrix(w: BraidWord) -> list[list[LaurentPoly]]:
+    """Reduced Burau matrix of a positive word, as a list of columns."""
+    n = w.strands
+    k = n - 1
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    cols = [[one if r == c else zero for r in range(k)] for c in range(k)]
+    # sigma_i differs from the identity only in row i:
+    #   entry t at column i-1, -t at column i, 1 at column i+1.
+    # Right multiplication therefore touches at most three columns, and the
+    # t entries are applied as exponent shifts, not polynomial products.
+    for i in w.letters:
+        col_i = cols[i - 1]
+        if i >= 2:
+            cols[i - 2] = [a + b.shifted(1) for a, b in zip(cols[i - 2], col_i)]
+        if i <= k - 1:
+            cols[i] = [a + b for a, b in zip(cols[i], col_i)]
+        cols[i - 1] = [-b.shifted(1) for b in col_i]
+    return cols
+
+
+def _determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Bareiss fraction-free determinant; every division is exact."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.one()
+    sign = 1
+    prev = LaurentPoly.one()
+    zero = LaurentPoly.zero()
+    for k in range(n - 1):
+        if rows[k][k].is_zero():
+            pivot = next(
+                (i for i in range(k + 1, n) if not rows[i][k].is_zero()), None
+            )
+            if pivot is None:
+                return zero
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
+                rows[i][j] = num.exact_div(prev)
+            rows[i][k] = zero
+        prev = rows[k][k]
+    det = rows[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def burau_oracle(w: BraidWord) -> LaurentPoly:
+    """normalize_units(det(rho(w) - I) / (1 + t + ... + t^(n-1))), on polynomials."""
+    n = w.strands
+    cols = _burau_matrix(w)
+    one = LaurentPoly.one()
+    for c, col in enumerate(cols):
+        col[c] = col[c] - one
+    det = _determinant(cols)
+    return normalize_units(det.exact_div(LaurentPoly.from_dict({e: 1 for e in range(n)})))

@@ -31,6 +31,7 @@ from lorenzlinks import (
     load_census,
     lorenz_permutation,
     milestone_words,
+    minimal_braid_word,
     morton_alexander,
     normal_form,
     parse_vector,
@@ -172,6 +173,21 @@ def test_criterion_07_alexander_cross_oracle():
                 ), (m, p, q)
         expected = LaurentPoly.from_dict({0: 1, 1: -1, 2: 1, 3: -1, 4: 1})
         assert poly_equal_up_to_units(morton_alexander(1, 3, 2), expected)
+
+
+def test_criterion_07_at_scale():
+    # Burau on minimal words of 13 to 24 strands and 442 to 599 letters; the
+    # time bound also catches a packing width grown from the letters alone
+    with criterion(7, "Morton formula vs Burau determinant, 24 strands"):
+        elapsed = 0.0
+        for m, p, q in ((1, 24, 25), (3, 23, 25), (5, 19, 24), (2, 17, 30),
+                        (12, 24, 25), (6, 13, 40)):
+            word = minimal_braid_word(parse_vector(f"2^{2 * m},{p}^{q}"))
+            t0 = time.perf_counter()
+            poly = burau_alexander(word, max_strands=word.strands, max_letters=len(word))
+            elapsed += time.perf_counter() - t0
+            assert poly == morton_alexander(m, p, q), (m, p, q)
+        assert elapsed < 0.6, elapsed
 
 
 def test_criterion_08_invariant_laws():

@@ -1,14 +1,18 @@
+import itertools
 import math
 import random
 import statistics
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import fitted_exponent, random_normalized_vector
+from helpers import burau_oracle, fitted_exponent, random_normalized_vector
 from lorenzlinks import (
     BraidWord,
     burau_alexander,
+    cycle_count,
+    format_word,
     invariant_report,
     load_census,
     milestone_words,
@@ -22,6 +26,7 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks.errors import UnsupportedInput
+from lorenzlinks.invariants import _determinant, _digits
 from lorenzlinks.laurent import LaurentPoly
 
 
@@ -193,6 +198,98 @@ def test_alexander_span_is_twice_genus_on_census():
         assert poly.span == rep.degree_prediction  # c - n + 1, mu = 1
         checked += 1
     assert checked == 107
+
+
+# The Morton-family knots <2^2m, p^q> of the bench's alexander workload, as (m, p, q)
+WORKLOAD_MORTON = [
+    (2, 5, 7), (3, 7, 9), (4, 9, 11), (5, 11, 13), (6, 13, 15), (7, 15, 17),
+    (2, 17, 18), (1, 5, 12), (3, 9, 13), (4, 7, 16), (2, 11, 15), (5, 13, 14),
+]
+
+
+def _random_knot_words(rng: random.Random, count: int) -> list[BraidWord]:
+    """Positive words with knot closure on 2 to 10 strands and at most 80
+    letters; every fifth is made of runs of one generator."""
+    words = []
+    while len(words) < count:
+        n = rng.randint(2, 10)
+        size = rng.randint(n - 1, 80)
+        if len(words) % 5 == 4:
+            letters = []
+            while len(letters) < size:
+                letters += [rng.randint(1, n - 1)] * rng.randint(2, 12)
+        else:
+            letters = [rng.randint(1, n - 1) for _ in range(size)]
+        w = BraidWord(n, tuple(letters[:size]))
+        if cycle_count(w.permutation()) == 1:
+            words.append(w)
+    return words
+
+
+def test_burau_matches_polynomial_oracle():
+    census = [minimal_braid_word(e.vector) for e in load_census() if e.known]
+    assert len(census) == 107
+    for w in census:
+        assert burau_alexander(w) == burau_oracle(w), format_word(w)
+    for m, p, q in WORKLOAD_MORTON:
+        w = minimal_braid_word(normalize(parse_vector(f"2^{2 * m},{p}^{q}")))
+        got = burau_alexander(w, max_strands=w.strands, max_letters=len(w))
+        assert got == burau_oracle(w), (m, p, q)
+    # Census coefficients are at most 3 in magnitude; random words reach far
+    # larger ones, which is what tests the packing width.
+    largest = 0
+    for w in _random_knot_words(random.Random(2007), 200):
+        got = burau_alexander(w)
+        assert got == burau_oracle(w), format_word(w)
+        largest = max(largest, max(abs(c) for _, c in got.terms))
+    assert largest > 2**16
+
+
+def _pack(digits: list[int], bits: int) -> int:
+    return sum(d << (bits * e) for e, d in enumerate(digits))
+
+
+def _stripped(digits: list[int]) -> list[int]:
+    """The digit list without its trailing zeros, as _digits returns it."""
+    while digits and not digits[-1]:
+        digits = digits[:-1]
+    return digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda bits: st.tuples(
+    st.just(bits),
+    st.lists(st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1), max_size=30),
+)))
+def test_digits_round_trip(case):
+    bits, digits = case
+    assert _digits(_pack(digits, bits), bits) == _stripped(digits)
+
+
+def test_digits_edges():
+    for bits in (2, 3, 17, 64):
+        top = (1 << (bits - 1)) - 1
+        for digits in ([top, -top, 0, top], [0, 0, -top], [top, 0, -1], [-top - 1, top]):
+            assert _digits(_pack(digits, bits), bits) == digits
+    assert _digits(0, 5) == []
+    assert _digits(-1, 5) == [-1]
+
+
+def test_integer_determinant_by_leibniz():
+    # sparse matrices, so that zero pivots, row swaps and singular matrices occur
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)] for _ in range(n)]
+        expected = sum(
+            (-1) ** sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+            * math.prod(rows[r][p[r]] for r in range(n))
+            for p in itertools.permutations(range(n))
+        )
+        singular += expected == 0
+        assert _determinant([row[:] for row in rows]) == expected, rows
+    assert singular > 50
 
 
 def test_c4g_bound_on_census():
