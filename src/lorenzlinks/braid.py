@@ -16,6 +16,8 @@ Conventions used throughout the package:
   exactly the reduced words.  permutation_braid_word picks a deterministic
   reduced word (strands inserted by increasing start position, each emitting
   a descending run of letters).
+- The image-tuple helpers live here too: _inverse, shared by Permutation
+  and the Garside kernel, and cycle_count, one walk over p.image.
 
 Text format for words: a header token "n=<strands>" followed by whitespace
 separated letters, e.g. "n=3 1 2 1" for sigma_1 sigma_2 sigma_1 in B_3.
@@ -25,9 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
+
+
+def _inverse(image: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(image)
+    for a, x in enumerate(image, start=1):
+        inv[x - 1] = a
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -66,10 +76,7 @@ class Permutation:
         arrangement = list(range(1, n + 1))
         for i in letters:
             arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
-        image = [0] * n
-        for pos, label in enumerate(arrangement, start=1):
-            image[label - 1] = pos
-        return cls(tuple(image))
+        return cls(_inverse(arrangement))
 
     @property
     def size(self) -> int:
@@ -86,10 +93,7 @@ class Permutation:
 
     @cached_property
     def inverse(self) -> "Permutation":
-        image = [0] * self.size
-        for a, b in enumerate(self.image, start=1):
-            image[b - 1] = a
-        return Permutation(tuple(image))
+        return Permutation(_inverse(self.image))
 
     @cached_property
     def descents(self) -> frozenset[int]:
@@ -104,21 +108,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(x == a for a, x in enumerate(self.image, start=1))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.size
-        out = []
-        for a in range(1, self.size + 1):
-            if seen[a - 1]:
-                continue
-            cycle = []
-            x = a
-            while not seen[x - 1]:
-                seen[x - 1] = True
-                cycle.append(x)
-                x = self(x)
-            out.append(tuple(cycle))
-        return out
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,17 @@ def permutation_of_word(w: BraidWord) -> Permutation:
 
 def cycle_count(p: Permutation) -> int:
     """Number of cycles; the component count of the closure of any word inducing p."""
-    return len(p.cycles())
+    image = p.image
+    seen = [False] * len(image)
+    count = 0
+    for a in range(len(image)):
+        if not seen[a]:
+            count += 1
+            x = a
+            while not seen[x]:
+                seen[x] = True
+                x = image[x] - 1
+    return count
 
 
 def flip_word(w: BraidWord) -> BraidWord:

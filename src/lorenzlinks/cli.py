@@ -223,10 +223,10 @@ def _cmd_census_report(args) -> int:
         if r.error and r.vector is None:
             print(f"{r.name:8s} ?")
             continue
-        inv = r.invariants
-        line = (
-            f"{r.name:8s} {format_vector(r.vector):18s}"
-            f" mu={inv.components} g={inv.genus} t={inv.trip}"
+        inv = r.invariants  # None when the row failed
+        line = f"{r.name:8s} {format_vector(r.vector):18s}" + (
+            f" error: {r.error}" if inv is None
+            else f" mu={inv.components} g={inv.genus} t={inv.trip}"
             f" cmin={inv.min_crossing_number} {r.torus}"
         )
         if r.warnings and not args.quiet:
@@ -283,16 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.quiet:
-        warnings.simplefilter("ignore")
-    try:
-        return args.func(args)
-    except (ParseError, OSError) as exc:  # OSError: the census file cannot be read
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # --quiet must not outlive this call
+        if args.quiet:
+            warnings.simplefilter("ignore")
+        try:
+            return args.func(args)
+        except (ParseError, OSError) as exc:  # OSError: the census file cannot be read
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def run() -> None:

@@ -32,6 +32,7 @@ from typing import Optional
 from .braid import (
     BraidWord,
     Permutation,
+    _inverse,
     bracket,
     concat_all,
     permutation_braid_word,
@@ -39,13 +40,6 @@ from .braid import (
 )
 
 Image = tuple[int, ...]
-
-
-def _inverse(p: Image) -> Image:
-    inv = [0] * len(p)
-    for a, x in enumerate(p, start=1):
-        inv[x - 1] = a
-    return tuple(inv)
 
 
 def _strip(ainv: list[int], v: list[int]) -> list[int]:

@@ -98,6 +98,39 @@ def test_cycle_count():
     assert cycle_count(lorenz_permutation(parse_vector("2^4,3^2,6,8^2"))) == 1
 
 
+def test_cycle_count_is_the_orbit_count():
+    # Independent count: the orbit of a is {p^k(a) : 0 <= k < n}, from powers
+    # built with then(); distinct orbits are the cycles.
+    for n in range(8):
+        for image in itertools.permutations(range(1, n + 1)):
+            p = Permutation(image)
+            powers = [Permutation.identity(n)]
+            for _ in range(n - 1):
+                powers.append(powers[-1].then(p))
+            orbits = {frozenset(q(a) for q in powers) for a in range(1, n + 1)}
+            assert cycle_count(p) == len(orbits), image
+
+
+def test_inverse_undoes_every_small_permutation():
+    for n in range(1, 7):
+        identity = Permutation.identity(n)
+        for image in itertools.permutations(range(1, n + 1)):
+            p = Permutation(image)
+            assert p.then(p.inverse) == identity
+            assert p.inverse.then(p) == identity
+
+
+def test_from_letters_is_the_product_of_simples():
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        letters = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 3 * n))]
+        expected = Permutation.identity(n)
+        for i in letters:
+            expected = expected.then(Permutation.simple(i, n))
+        assert Permutation.from_letters(n, letters) == expected
+
+
 def test_flip_word():
     assert flip_word(BraidWord(3, (1, 2))).letters == (2, 1)
     rng = random.Random(5)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,10 @@ from lorenzlinks import (
     report_all,
     vector_to_tparams,
 )
+from lorenzlinks import census as census_mod
 from lorenzlinks.census import REPORT_SCHEMA, builtin_knotscape_names
 from lorenzlinks.errors import ParseError
+from lorenzlinks.lorenz import VectorOrderWarning
 
 UNKNOWN_ROWS = {"k7_48", "k7_56", "k7_101", "k7_109", "k7_119"}
 
@@ -220,6 +223,36 @@ def test_cli_quiet_suppresses_details(capsys):
     assert cli.main(["--quiet", "invariants", "2^3"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1
+
+
+def test_cli_quiet_leaves_warning_filters_alone(capsys):
+    before = list(warnings.filters)
+    assert cli.main(["--quiet", "validate", "3,2"]) == 0
+    capsys.readouterr()
+    assert warnings.filters == before
+    with pytest.warns(VectorOrderWarning):
+        parse_vector("3,2")
+
+
+def test_cli_census_report_survives_a_failed_row(monkeypatch, capsys):
+    def failing_is_torus(vector):
+        if format_vector(vector) == "2^2,3^5":  # k3_1
+            raise MemoryError("out of memory")
+        return is_torus(vector)
+
+    monkeypatch.setattr(census_mod, "is_torus", failing_is_torus)
+    assert cli.main(["census", "report"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 112
+    (row,) = [line for line in lines if line.startswith("k3_1 ")]
+    assert row.split() == ["k3_1", "2^2,3^5", "error:", "MemoryError:", "out", "of", "memory"]
+    assert sum("error:" in line for line in lines) == 1
+
+    assert cli.main(["--json", "census", "report"]) == 0
+    reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+    assert len(reports) == 112
+    assert reports["k3_1"]["error"] == "MemoryError: out of memory"
+    assert reports["k3_1"]["invariants"] is None
 
 
 def test_cli_exit_codes(capsys, tmp_path):
