@@ -13,7 +13,6 @@ from .braid import (
     BraidWord,
     Permutation,
     bracket,
-    concat,
     cycle_count,
     flip_word,
     format_word,

@@ -16,6 +16,7 @@ Conventions used throughout the package:
   exactly the reduced words.  permutation_braid_word picks a deterministic
   reduced word (strands inserted by increasing start position, each emitting
   a descending run of letters).
+- One spelling per word operation: bracket, power, a * b, concat_all, permutation_of_word.
 - The image-tuple helpers live here too: _inverse, shared by Permutation
   and the Garside kernel, and cycle_count, one walk over p.image.
 
@@ -133,13 +134,7 @@ class BraidWord:
         return iter(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return concat(self, other)
-
-    def __pow__(self, k: int) -> "BraidWord":
-        return power(self, k)
-
-    def permutation(self) -> Permutation:
-        return permutation_of_word(self)
+        return concat_all(self.strands, (self, other))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -162,12 +157,6 @@ def bracket(v: int, w: int, strands: int) -> BraidWord:
     else:
         letters = tuple(range(v - 1, w - 1, -1))
     return BraidWord(strands, letters)
-
-
-def concat(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.strands != b.strands:
-        raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
 
 
 def power(a: BraidWord, k: int) -> BraidWord:

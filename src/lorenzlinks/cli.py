@@ -17,14 +17,14 @@ import warnings
 from typing import Optional
 
 from . import census as census_mod
-from .braid import cycle_count, format_word, parse_word, permutation_braid_word
+from .braid import BraidWord, format_word, parse_word, permutation_braid_word
 from .errors import ParseError
 from .garside import normal_form, words_equal
 from .invariants import burau_alexander, invariant_report, morton_alexander
 from .lorenz import (
     UNKNOT,
+    dual_vector,
     format_vector,
-    lorenz_permutation,
     minimal_braid_word,
     minimal_word_from_triple,
     normalize,
@@ -68,8 +68,8 @@ def _cmd_validate(args) -> int:
         "normalized": v.is_normalized,
     }
     if v.is_normalized:
-        payload["trip"] = trip_number(v)
-        payload["components"] = cycle_count(lorenz_permutation(v))
+        rep = invariant_report(v)
+        payload["trip"], payload["components"] = rep.trip, rep.components
         details.append(
             f"trip={payload['trip']} components={payload['components']}"
         )
@@ -96,8 +96,6 @@ def _cmd_dual(args) -> int:
         dual = dual_tparams(parse_tparams(text))
         _emit(args, format_tparams(dual), payload={"tparams": format_tparams(dual)})
     else:
-        from .lorenz import dual_vector
-
         dual = dual_vector(parse_vector(text))
         _emit(args, format_vector(dual), payload={"vector": format_vector(dual)})
     return 0
@@ -168,12 +166,7 @@ def _cmd_alexander(args) -> int:
         poly = morton_alexander(m, p, q)
     else:
         v = normalize(parse_vector(args.burau))
-        if v is UNKNOT:
-            from .laurent import LaurentPoly
-
-            poly = LaurentPoly.one()
-        else:
-            poly = burau_alexander(minimal_braid_word(v))
+        poly = burau_alexander(BraidWord(1) if v is UNKNOT else minimal_braid_word(v))
     _emit(
         args,
         str(poly),
@@ -283,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():  # --quiet must not outlive this call
+    with warnings.catch_warnings():  # --quiet and the hook must not outlive this call
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         if args.quiet:
             warnings.simplefilter("ignore")
         try:

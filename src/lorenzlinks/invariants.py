@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, cycle_count
+from .braid import BraidWord, cycle_count, permutation_of_word
 from .errors import UnsupportedInput
-from .laurent import LaurentPoly, normalize_units, poly_equal_up_to_units
+from .laurent import LaurentPoly, normalize_units
 from .lorenz import (
     UNKNOT,
     LorenzVector,
@@ -37,16 +37,6 @@ from .lorenz import (
     lorenz_permutation,
     normalize,
 )
-
-__all__ = [
-    "InvariantReport",
-    "invariant_report",
-    "morton_alexander",
-    "burau_alexander",
-    "normalize_units",
-    "poly_equal_up_to_units",
-]
-
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -209,7 +199,7 @@ def burau_alexander(
         raise UnsupportedInput(
             f"word too large for the Burau oracle ({n} strands, {len(w)} letters)"
         )
-    if cycle_count(w.permutation()) != 1:
+    if cycle_count(permutation_of_word(w)) != 1:
         raise UnsupportedInput("closure is not a knot")
     if n == 1:
         return LaurentPoly.one()

@@ -217,12 +217,9 @@ class StrandClassification:
 
     kinds: tuple[str, ...]
 
-    def count(self, kind: str) -> int:
-        return sum(1 for k in self.kinds if k == kind)
-
     @property
     def counts(self) -> dict[str, int]:
-        return {kind: self.count(kind) for kind in ("LL", "LR", "RL", "RR")}
+        return {kind: self.kinds.count(kind) for kind in ("LL", "LR", "RL", "RR")}
 
 
 def classify_strands(v: LorenzVector) -> StrandClassification:

@@ -49,11 +49,6 @@ class TParams:
     def r_max(self) -> int:
         return self.pairs[-1][0]
 
-    @property
-    def is_canonical(self) -> bool:
-        rs = [r for r, _ in self.pairs]
-        return all(a < b for a, b in zip(rs, rs[1:]))
-
     def canonical(self) -> "TParams":
         """Merge adjacent pairs with equal r (their s values add)."""
         merged: list[tuple[int, int]] = []

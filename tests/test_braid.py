@@ -8,7 +8,6 @@ from lorenzlinks import (
     ParseError,
     Permutation,
     bracket,
-    concat,
     cycle_count,
     flip_word,
     format_word,
@@ -45,19 +44,19 @@ def test_bracket_length_and_errors():
 def test_product_rule_letter_level():
     # [u,v][v,w] has the same letters as [u,w]
     for v, u, w in [(1, 2, 4), (2, 4, 7), (1, 3, 5)]:
-        lhs = concat(bracket(v, u, w), bracket(u, w, w))
+        lhs = bracket(v, u, w) * bracket(u, w, w)
         assert lhs.letters == bracket(v, w, w).letters
 
 
 def test_concat_and_power():
     e = BraidWord(3)
     w = bracket(1, 3, 3)
-    assert concat(e, w) == w
+    assert e * w == w
     assert power(w, 3).letters == w.letters * 3
     assert power(w, 0) == e
     assert power(BraidWord(2, (1,)), 5).letters == (1,) * 5
     with pytest.raises(ValueError):
-        concat(BraidWord(3, (1,)), BraidWord(4, (1,)))
+        BraidWord(3, (1,)) * BraidWord(4, (1,))
     with pytest.raises(ValueError):
         power(w, -1)
 
@@ -82,7 +81,7 @@ def test_permutation_composition_matches_concat():
         n = rng.randint(2, 7)
         a = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
         b = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
-        assert permutation_of_word(concat(a, b)) == permutation_of_word(a).then(
+        assert permutation_of_word(a * b) == permutation_of_word(a).then(
             permutation_of_word(b)
         )
 

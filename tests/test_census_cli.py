@@ -92,6 +92,18 @@ def test_census_parse_errors(tmp_path):
         load_census(dup)
 
 
+def test_census_malformed_vector_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("k1 2^2,3^2\nk2 2^x\n")
+    with pytest.raises(ParseError, match="bad.txt:2"):
+        load_census(bad)
+    assert cli.main(["census", "report", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "bad.txt:2" in captured.err
+
+
 def test_report_known_vector():
     rep = report(parse_vector("2^4,3^2,6,8^2"), name="favorite")
     assert rep.invariants.genus == 10
@@ -170,6 +182,20 @@ def test_cli_normal_form(capsys):
     assert "factors=2" in out
 
 
+def test_cli_normal_form_of_the_empty_word(capsys):
+    assert cli.main(["normal-form", "n=3"]) == 0
+    assert capsys.readouterr().out == "n=3 factors=0 (identity)\n"
+    assert cli.main(["--json", "normal-form", "n=3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"strands": 3, "factors": []}
+
+
+def test_cli_normalize_destabilizes(capsys):
+    assert cli.main(["normalize", "1,2,3,4"]) == 0
+    assert capsys.readouterr().out == "2,3^2\n"
+    assert cli.main(["--json", "normalize", "1,2,3,4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"vector": "2,3^2", "unknot": False}
+
+
 def test_cli_validate_and_minimal(capsys):
     assert cli.main(["validate", "2^4,3^2,6,8^2"]) == 0
     out = capsys.readouterr().out
@@ -185,11 +211,26 @@ def test_cli_validate_and_minimal(capsys):
     assert len(out.split()) == 1 + 33  # header + S - p letters
 
 
+def test_cli_validate_reports_trip_and_components(capsys):
+    assert cli.main(["--json", "validate", "3^6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["trip"], payload["components"]) == (3, 3)
+    assert cli.main(["validate", "2^2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "trip=2 components=2"
+    assert cli.main(["--json", "validate", "1,1,4"]) == 0
+    assert "components" not in json.loads(capsys.readouterr().out)
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"
     assert cli.main(["alexander", "--burau", "1,1,4"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cli_alexander_burau_unknot_json(capsys):
+    assert cli.main(["--json", "alexander", "--burau", "1,1,4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alexander": "1", "terms": [[0, 1]]}
 
 
 def test_cli_alexander_burau_covers_census(capsys):
@@ -225,11 +266,26 @@ def test_cli_quiet_suppresses_details(capsys):
     assert len(out.splitlines()) == 1
 
 
+def test_cli_prints_a_warning_as_one_line(capsys):
+    warning = "warning: vector '3,2' is not nondecreasing; sorted\n"
+    assert cli.main(["invariants", "3,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out.splitlines()[0] == "2^2: mu=2 g=0"
+    assert cli.main(["--json", "invariants", "3,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert json.loads(captured.out)["vector"] == "2^2"
+    assert cli.main(["--quiet", "invariants", "3,2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_quiet_leaves_warning_filters_alone(capsys):
-    before = list(warnings.filters)
+    before, hook = list(warnings.filters), warnings.showwarning
     assert cli.main(["--quiet", "validate", "3,2"]) == 0
     capsys.readouterr()
     assert warnings.filters == before
+    assert warnings.showwarning is hook
     with pytest.warns(VectorOrderWarning):
         parse_vector("3,2")
 

@@ -15,7 +15,7 @@ from lorenzlinks.garside import (
     nf_power,
     right_complement,
 )
-from lorenzlinks.braid import Permutation
+from lorenzlinks.braid import Permutation, permutation_of_word
 
 
 def test_braid_relation_same_normal_form():
@@ -31,6 +31,10 @@ def test_commuting_and_distinct():
     assert not words_equal(BraidWord(3, (1,)), BraidWord(3, (2,)))
     with pytest.raises(ValueError):
         words_equal(BraidWord(3, (1,)), BraidWord(4, (1,)))
+
+
+def test_words_of_different_lengths_differ():
+    assert not words_equal(BraidWord(3, (1, 2)), BraidWord(3, (1, 2, 1)))
 
 
 def test_index_shift_relation():
@@ -90,7 +94,7 @@ def test_length_conservation_and_left_weighting():
         assert all(not f.is_identity() for f in nf.factors)
         for a, b in zip(nf.factors, nf.factors[1:]):
             assert is_left_weighted(a, b)
-        assert nf.word().permutation() == w.permutation()
+        assert permutation_of_word(nf.word()) == permutation_of_word(w)
         assert normal_form(nf.word()) == nf
 
 

@@ -21,6 +21,7 @@ from lorenzlinks import (
     normalize,
     parse_vector,
     periodic_word,
+    permutation_of_word,
     poly_equal_up_to_units,
     tbraid_word,
     vector_to_tparams,
@@ -152,6 +153,10 @@ def test_burau_classics():
     )
 
 
+def test_burau_of_the_one_strand_word_is_one():
+    assert burau_alexander(BraidWord(1)) == LaurentPoly.one()
+
+
 def test_burau_guards():
     with pytest.raises(UnsupportedInput):
         burau_alexander(BraidWord(3, (1,)))  # two components
@@ -221,7 +226,7 @@ def _random_knot_words(rng: random.Random, count: int) -> list[BraidWord]:
         else:
             letters = [rng.randint(1, n - 1) for _ in range(size)]
         w = BraidWord(n, tuple(letters[:size]))
-        if cycle_count(w.permutation()) == 1:
+        if cycle_count(permutation_of_word(w)) == 1:
             words.append(w)
     return words
 

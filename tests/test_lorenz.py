@@ -20,6 +20,7 @@ from lorenzlinks import (
     minimal_braid_word,
     normalize,
     parse_vector,
+    permutation_of_word,
     tm_triple,
     trip_number,
     vector_from_triple,
@@ -270,7 +271,7 @@ def test_milestones_component_agreement():
     for _ in range(60):
         v = random_normalized_vector(rng, max_p=14, max_r=8)
         mw = milestone_words(v)
-        mus = {cycle_count(w.permutation()) for w in mw.words.values()}
+        mus = {cycle_count(permutation_of_word(w)) for w in mw.words.values()}
         assert len(mus) == 1
         cs = set(mw.crossings[n] - mw.braid_indices[n] for n in mw.crossings)
         assert len(cs) == 1

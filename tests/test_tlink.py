@@ -35,7 +35,7 @@ def test_tparams_validation_and_canonical():
     with pytest.raises(ValueError):
         TParams(((3, 2), (2, 1)))
     tp = TParams(((3, 6), (3, 8)))
-    assert not tp.is_canonical
+    assert tp.canonical() != tp
     assert tp.canonical().pairs == ((3, 14),)
 
 
@@ -168,6 +168,12 @@ def test_torus_simplify_examples():
     simplified, applied = torus_simplify(TParams(((2, 3), (5, 2))))
     assert not applied and simplified.pairs == ((2, 3), (5, 2))
     assert torus_simplify_all(TParams(((3, 6), (8, 3)))).pairs == ((3, 14),)
+
+
+def test_torus_simplify_all_stops_when_k_stays():
+    tp = TParams(((2, 2), (4, 3)))
+    assert torus_simplify(tp) == (TParams(((2, 2), (3, 4))), True)  # a swap: k stays 2
+    assert torus_simplify_all(tp) == tp
 
 
 def test_torus_simplify_preserves_closure_invariants():
