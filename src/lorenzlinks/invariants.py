@@ -12,8 +12,8 @@ minimal Jones degree both equal c - n + 1).
 Two independent Alexander computations are provided for cross-checking:
 morton_alexander evaluates the closed formula for the doubly twisted torus
 family <2^2m, p^q>, and burau_alexander computes det(rho(w) - I) for the
-reduced Burau matrix of any positive word with knot closure, divided exactly
-by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
+reduced Burau matrix of any positive word with non-split closure, divided
+exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
 The Burau route runs on integers at one packed point t = 2^B, with B set
 from the matrix's own column sums, and reads the coefficients back as signed
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, cycle_count, permutation_of_word
+from .braid import BraidWord, cycle_count
 from .errors import UnsupportedInput
 from .laurent import LaurentPoly, normalize_units
 from .lorenz import (
@@ -188,19 +188,21 @@ def burau_alexander(
     Alexander polynomial of the closure of w, up to units, via the reduced
     Burau determinant: det(rho(w) - I) divided by 1 + t + ... + t^(n-1).
 
-    Only knot closures are supported (one cycle), and input size is capped by
-    default since the determinant cost grows quickly.  The default caps, 10
-    strands and 120 letters, admit the minimal word of every known census
-    knot: the longest has 116 letters and the widest 9 strands.  Closures of
-    positive braids are fibred: Delta must be monic of span len(w) - n + 1.
+    Knots and links alike are accepted; a word missing some sigma_i closes
+    to a split link, whose Delta is 0, and is refused.  Input size is capped
+    by default since the determinant cost grows quickly.  The default caps,
+    10 strands and 120 letters, admit the minimal word of every known census
+    knot: the longest has 116 letters and the widest 9 strands.  Non-split
+    closures of positive braids are fibred: Delta must be monic of span
+    len(w) - n + 1, which is 2g + mu - 1.
     """
     n = w.strands
     if n > max_strands or len(w) > max_letters:
         raise UnsupportedInput(
             f"word too large for the Burau oracle ({n} strands, {len(w)} letters)"
         )
-    if cycle_count(permutation_of_word(w)) != 1:
-        raise UnsupportedInput("closure is not a knot")
+    if len(set(w.letters)) != n - 1:
+        raise UnsupportedInput("closure is split")
     if n == 1:
         return LaurentPoly.one()
     # sigma_i differs from the identity only in row i (t, -t, 1 at columns i-1,

@@ -8,19 +8,26 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
 |M| and t have closed forms in the vector.  The minimal word begins with
-[1,t]^t, which has t(t-1) letters, so q >= t needs no test.  One cheap rung
-comes before the power:
+[1,t]^t, which has t(t-1) letters, so q >= t needs no test.  Two cheap
+rungs come before any braid arithmetic, in this order:
 
 - components: delta^q permutes the strands as the q-th power of a t-cycle,
   so T(t, q) has gcd(t, q) components, counted here without a word.
+- tparams: the run-length pairs of the vector are T-parameters, and when
+  the torus rewrite (tlink.torus_simplify_all) leaves one pair (r, s), the
+  closure is T(r, s).
 
-Then the factors of M are folded t times, stopping past 2q factors:
+Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
+(t-1)(q-t) letters.  The positive monoid is cancellative, so
+M^t = Delta^(2q) exactly when X^t = Delta^(2(q-t)).  The factors of X are
+folded t times, stopping past 2(q-t) factors:
 
-- factor bound: if M^t = Delta^(2q), every prefix of the fold left-divides
-  Delta^(2q), so it has at most 2q left-greedy factors.
-- garside: a fold of M^t within 2q factors is Delta^(2q).  It holds the
-  t q (t-1) letters of M^t, and a simple factor has at most t(t-1)/2
-  letters, with exactly that many only for Delta, so every factor is Delta.
+- factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
+  left-divides it, so it has at most 2(q-t) left-greedy factors.
+- garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
+  the t (q-t) (t-1) letters of X^t, and a simple factor has at most
+  t(t-1)/2 letters, with exactly that many only for Delta, so every factor
+  is Delta.  An empty X gives Torus(t, t).
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .braid import cycle_count
+from .braid import BraidWord, cycle_count
 from .garside import _product, _word_factors
 from .lorenz import (UNKNOT, LorenzVector, _milestone_sizes, lorenz_permutation,
                      minimal_braid_word, normalize)
+from .tlink import torus_simplify_all, vector_to_tparams
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,8 @@ class TorusVerdict:
     kind: str  # "torus" | "not-torus" | "unknot"
     t: Optional[int] = None
     q: Optional[int] = None
-    # "unknot" | "length" | "components" | "factor_bound" | "garside"; only
-    # Torus verdicts are decided by "garside"
+    # "unknot" | "length" | "components" | "tparams" | "factor_bound" |
+    # "garside"; only Torus verdicts are decided by "tparams" or "garside"
     decided_by: str = field(default="garside", compare=False)
 
     def __post_init__(self) -> None:
@@ -67,6 +75,15 @@ NOT_TORUS = {rung: TorusVerdict("not-torus", decided_by=rung) for rung in
 UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 
 
+def _garside_verdict(nv: LorenzVector, t: int, q: int) -> TorusVerdict:
+    """The fold of X^t within 2(q-t) factors, for a normalized vector whose
+    minimal word has t strands and (t-1)q letters."""
+    x = BraidWord(t, minimal_braid_word(nv).letters[t * (t - 1):])
+    if _product([], _word_factors(x) * t, 2 * (q - t)) is None:
+        return NOT_TORUS["factor_bound"]
+    return TorusVerdict("torus", t, q)
+
+
 def is_torus(v: LorenzVector) -> TorusVerdict:
     """Decide torus-ness of the closure; the input is normalized first."""
     nv = normalize(v)
@@ -79,7 +96,8 @@ def is_torus(v: LorenzVector) -> TorusVerdict:
     q = length // (t - 1)
     if cycle_count(lorenz_permutation(nv)) != gcd(t, q):
         return NOT_TORUS["components"]
-    factors = _word_factors(minimal_braid_word(nv))
-    if _product([], factors * t, 2 * q) is None:
-        return NOT_TORUS["factor_bound"]
-    return TorusVerdict("torus", t, q)
+    reduced = torus_simplify_all(vector_to_tparams(nv))
+    if reduced.k == 1:
+        r, s = reduced.pairs[0]
+        return TorusVerdict("torus", min(r, s), max(r, s), decided_by="tparams")
+    return _garside_verdict(nv, t, q)

@@ -228,6 +228,12 @@ def test_cli_alexander_burau(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_cli_alexander_burau_hopf_link(capsys):
+    # links are accepted: the Hopf link closes sigma_1^2
+    assert cli.main(["alexander", "--burau", "2^2"]) == 0
+    assert capsys.readouterr().out.strip() == "1 - t"
+
+
 def test_cli_alexander_burau_unknot_json(capsys):
     assert cli.main(["--json", "alexander", "--burau", "1,1,4"]) == 0
     assert json.loads(capsys.readouterr().out) == {"alexander": "1", "terms": [[0, 1]]}
@@ -369,7 +375,11 @@ def test_cli_json_round_trip(capsys):
 
     assert cli.main(["--json", "is-torus", "3^6,8^3"]) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "verdict": "Torus(3,14)", "torus": True, "decided_by": "garside",
+        "verdict": "Torus(3,14)", "torus": True, "decided_by": "tparams",
+    }
+    assert cli.main(["--json", "is-torus", "2^2,4^3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "Torus(3,5)", "torus": True, "decided_by": "garside",
     }
     # serialization fidelity: re-dumping the parsed payload is stable
     assert json.loads(json.dumps(reports)) == reports

@@ -159,7 +159,9 @@ def test_burau_of_the_one_strand_word_is_one():
 
 def test_burau_guards():
     with pytest.raises(UnsupportedInput):
-        burau_alexander(BraidWord(3, (1,)))  # two components
+        burau_alexander(BraidWord(3, (1,)))  # split: sigma_2 is missing
+    with pytest.raises(UnsupportedInput, match="split"):
+        burau_alexander(BraidWord(4, (1, 1, 3, 3)))  # two Hopf links
     with pytest.raises(UnsupportedInput):
         burau_alexander(BraidWord(12, (1,) * 4))
     with pytest.raises(UnsupportedInput):
@@ -203,6 +205,37 @@ def test_alexander_span_is_twice_genus_on_census():
         assert poly.span == rep.degree_prediction  # c - n + 1, mu = 1
         checked += 1
     assert checked == 107
+
+
+def test_burau_on_seeded_lorenz_links():
+    # span = c - n + 1 = 2g + mu - 1 for links too, and Delta(1) = 0 exactly
+    # when the closure has more than one component
+    rng = random.Random(5)
+    links = 0
+    while links < 200:
+        v = random_normalized_vector(rng, max_p=14, max_r=8)
+        rep = invariant_report(v)
+        word = minimal_braid_word(rep.vector)
+        poly = burau_alexander(word, max_strands=word.strands, max_letters=len(word))
+        assert poly.span == rep.degree_prediction, v
+        assert (sum(c for _, c in poly.terms) == 0) == (rep.components > 1), v
+        if rep.components > 1:
+            assert poly == burau_oracle(word), v
+            links += 1
+
+
+def test_burau_links_match_polynomial_oracle():
+    # random positive words with every generator present: non-split closures
+    rng = random.Random(1936)
+    links = 0
+    while links < 100:
+        n = rng.randint(2, 6)
+        letters = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))]
+        rng.shuffle(letters)
+        w = BraidWord(n, tuple(letters))
+        if cycle_count(permutation_of_word(w)) > 1:
+            assert burau_alexander(w) == burau_oracle(w), format_word(w)
+            links += 1
 
 
 # The Morton-family knots <2^2m, p^q> of the bench's alexander workload, as (m, p, q)

@@ -1,26 +1,31 @@
 import collections
 import random
 import time
+from math import gcd
 
 import pytest
 
 from helpers import fitted_exponent, random_normalized_vector
 from lorenzlinks import (
+    LaurentPoly,
     LorenzVector,
     TParams,
+    burau_alexander,
     is_torus,
     load_census,
     minimal_braid_word,
     normal_form,
     normalize,
     parse_vector,
+    poly_equal_up_to_units,
     torus_simplify,
+    torus_simplify_all,
     tparams_to_vector,
     vector_to_tparams,
 )
 from lorenzlinks.garside import central_power, nf_power
 from lorenzlinks.lorenz import UNKNOT, _milestone_sizes
-from lorenzlinks.torus import NOT_TORUS, TorusVerdict
+from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _garside_verdict
 
 
 def test_verdict_type():
@@ -67,7 +72,8 @@ def test_verdict_names_its_rung():
         "6^6,8^5": ("NotTorus", "length"),
         "2^2,3^5": ("NotTorus", "components"),
         "2^4,3^2,6,8^2": ("NotTorus", "factor_bound"),
-        "3^6,8^3": ("Torus(3,14)", "garside"),
+        "3^6,8^3": ("Torus(3,14)", "tparams"),
+        "2^2,4^3": ("Torus(3,5)", "garside"),
     }
     for text, expected in cases.items():
         verdict = is_torus(parse_vector(text))
@@ -75,13 +81,14 @@ def test_verdict_names_its_rung():
     # one shared verdict per rung; the rung takes no part in equality
     assert is_torus(parse_vector("2^2,3^5")) is NOT_TORUS["components"]
     assert NOT_TORUS["components"] == NOT_TORUS["factor_bound"] == TorusVerdict("not-torus")
-    # "garside" names only Torus verdicts
+    # "tparams" and "garside" name only Torus verdicts
     assert set(NOT_TORUS) == {"length", "components", "factor_bound"}
 
 
 def test_cheap_rungs_agree_with_full_power():
     # Every vector that passes the length rule, decided by components, the
-    # factor bound or a fold within 2q factors, against the full power M^t.
+    # T-parameter rewrite, the factor bound or a fold within 2(q-t) factors,
+    # against the full power M^t.
     rng = random.Random(17)
     rungs = collections.Counter()
     while sum(rungs.values()) < 2000:
@@ -96,9 +103,65 @@ def test_cheap_rungs_agree_with_full_power():
         rungs[verdict.decided_by] += 1
         full = nf_power(normal_form(minimal_braid_word(v)), t) == central_power(t, q)
         assert verdict.is_torus == full, (v, verdict.decided_by)
-        assert (verdict.decided_by == "garside") == full, (v, verdict.decided_by)
+        assert (verdict.decided_by in ("tparams", "garside")) == full, (v, verdict.decided_by)
         assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
     assert rungs["components"] >= 300 and rungs["factor_bound"] >= 200, rungs
+    assert rungs["tparams"] and rungs["garside"], rungs
+
+
+def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
+    """(t, |M|): the strands and letters of the minimal word."""
+    crossings, strands = _milestone_sizes(v)
+    return strands["minimal"], crossings["minimal"]
+
+
+def test_tparams_reduction_agrees_with_the_fold():
+    # The torus rewrite and the Garside fold are independent routes: a vector
+    # that reduces to one pair (r, s) must fold to Torus(min, max), and one
+    # failing the length rule must not reduce.  Some Torus folds do not
+    # reduce (2^2,4^3 is one); those are the Garside rung's.
+    rng = random.Random(23)
+    reduced_count = residue = 0
+    for _ in range(2000):
+        v = random_normalized_vector(rng, max_p=18, max_r=8)
+        reduced = torus_simplify_all(vector_to_tparams(v))
+        t, length = _minimal_sizes(v)
+        if length % (t - 1):
+            assert reduced.k > 1, v
+            continue
+        fold = _garside_verdict(v, t, length // (t - 1))
+        if reduced.k == 1:
+            (r, s), = reduced.pairs
+            assert fold == TorusVerdict("torus", min(r, s), max(r, s)), (v, reduced)
+            reduced_count += 1
+        elif fold.is_torus:
+            residue += 1
+    assert reduced_count >= 300 and residue >= 20, (reduced_count, residue)
+
+
+def _torus_alexander(t: int, q: int) -> LaurentPoly:
+    """(x^(tq) - 1)(x - 1) / ((x^t - 1)(x^q - 1)), the Alexander polynomial of
+    the torus knot T(t, q)."""
+    one, x = LaurentPoly.one(), LaurentPoly.t_power
+    num = (x(t * q) - one) * (x(1) - one)
+    return num.exact_div((x(t) - one) * (x(q) - one))
+
+
+def test_torus_knot_verdicts_match_burau():
+    # Every Torus knot verdict, from either rung, against the Burau route on
+    # its minimal word, with the caps raised to the word's size.
+    rng = random.Random(29)
+    rungs = collections.Counter()
+    for _ in range(2000):
+        v = random_normalized_vector(rng, max_p=18, max_r=8)
+        verdict = is_torus(v)
+        if not verdict.is_torus or gcd(verdict.t, verdict.q) != 1:
+            continue
+        word = minimal_braid_word(v)
+        poly = burau_alexander(word, max_strands=word.strands, max_letters=len(word))
+        assert poly_equal_up_to_units(poly, _torus_alexander(verdict.t, verdict.q)), v
+        rungs[verdict.decided_by] += 1
+    assert rungs["tparams"] >= 100 and rungs["garside"] >= 20, rungs
 
 
 def test_census_rung_histogram():
@@ -165,6 +228,29 @@ def test_quadratic_envelope_in_minimal_word_length():
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         assert verdict.is_torus
+        sizes.append(word_len)
+        times.append(best)
+    assert sizes[-1] >= 1990
+    exponent = fitted_exponent(sizes, times)
+    assert exponent <= 4.0, (sizes, times, exponent)
+
+
+@pytest.mark.slow
+def test_quadratic_envelope_of_the_cancelled_fold():
+    # The T-parameter rung decides 8^s in is_torus; this times the fold of
+    # X^t within 2(q-t) factors on the same vectors, called directly.
+    sizes = []
+    times = []
+    for s in (36, 72, 143, 285):
+        v = parse_vector(f"8^{s}")
+        t, word_len = _minimal_sizes(v)
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verdict = _garside_verdict(v, t, word_len // (t - 1))
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert (verdict.t, verdict.q, verdict.decided_by) == (8, s, "garside")
         sizes.append(word_len)
         times.append(best)
     assert sizes[-1] >= 1990
