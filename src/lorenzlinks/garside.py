@@ -17,7 +17,10 @@ a simple element is appended to a left-weighted list, then one right-to-left
 pass of slides deletes any right factor that empties and stops at the first
 pair already left weighted, since every pair left of it is unchanged.
 normal_form first cuts the word into maximal permutation braids, so that
-each fold carries a whole factor.
+each fold carries a whole factor.  A slide depends only on its pair, and
+Lorenz words, products of bracket powers, slide the same few pairs over and
+over, so one normal_form or product keeps one memo from pair to slide result
+and slides each pair once.  Nothing is cached across calls.
 
 Every word here is positive, so a normal form is just the strand count and
 the factor tuple, with no Delta^{-k} prefix.  Permutation objects appear only
@@ -76,13 +79,22 @@ def _slide(a: Image, b: Image) -> Optional[tuple[Image, Image]]:
     return _inverse(ainv), tuple(head)
 
 
-def _fold(factors: list[Image], s: Image) -> None:
-    """Right-multiply the left-weighted list by the nonidentity simple s, in place."""
+def _fold(factors: list[Image], s: Image, memo: dict) -> None:
+    """
+    Right-multiply the left-weighted list by the nonidentity simple s, in place.
+
+    memo maps a pair (a, b) to _slide(a, b), None included.  The caller keeps
+    one memo for one normal_form or product and drops it after.
+    """
     identity = tuple(range(1, len(s) + 1))
     factors.append(s)
     j = len(factors) - 1
     while j:
-        slid = _slide(factors[j - 1], factors[j])
+        pair = (factors[j - 1], factors[j])
+        try:
+            slid = memo[pair]
+        except KeyError:
+            slid = memo[pair] = _slide(*pair)
         if slid is None:
             return
         factors[j - 1], right = slid
@@ -102,8 +114,9 @@ def _product(
     more than limit factors too.
     """
     out = list(left)
+    memo: dict = {}
     for s in right:
-        _fold(out, s)
+        _fold(out, s, memo)
         if limit is not None and len(out) > limit:
             return None
     return out
@@ -135,11 +148,6 @@ def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Pe
     return None if slid is None else (Permutation(slid[0]), Permutation(slid[1]))
 
 
-def is_left_weighted(a: Permutation, b: Permutation) -> bool:
-    """Whether every sigma_i dividing b on the left divides a^{-1} on the left."""
-    return b.descents <= a.inverse.descents
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Left-greedy normal form: strand count plus the canonical factor tuple."""
@@ -165,15 +173,16 @@ def _word_factors(w: BraidWord) -> list[Image]:
     """The left-weighted factors of a positive word, as image tuples."""
     n = w.strands
     factors: list[Image] = []
+    memo: dict = {}
     # strand labels by position, within the permutation braid being cut
     arrangement = list(range(1, n + 1))
     for i in w.letters:
         if arrangement[i - 1] > arrangement[i]:  # these two strands crossed already
-            _fold(factors, _inverse(arrangement))
+            _fold(factors, _inverse(arrangement), memo)
             arrangement = list(range(1, n + 1))
         arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
     if w.letters:
-        _fold(factors, _inverse(arrangement))
+        _fold(factors, _inverse(arrangement), memo)
     return factors
 
 
@@ -216,16 +225,3 @@ def periodic_word(t: int, q: int) -> BraidWord:
         raise ValueError("periodic words need at least two strands")
     return power(bracket(1, t, t), q)
 
-
-def central_power(t: int, q: int) -> NormalForm:
-    """
-    Normal form of delta^(t*q), the q-th power of the centre generator of B_t.
-
-    delta^t equals Delta^2, so the factor sequence is 2q copies of the half
-    twist, which is already left weighted.
-    """
-    if t < 2:
-        raise ValueError("periodic words need at least two strands")
-    if q < 0:
-        raise ValueError("negative powers of positive braids do not exist")
-    return NormalForm(t, (Permutation.longest(t),) * (2 * q))

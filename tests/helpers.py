@@ -6,7 +6,8 @@ import itertools
 import math
 import random
 
-from lorenzlinks import BraidWord, LaurentPoly, LorenzVector, normalize_units
+from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
+                         normalize_units)
 
 
 def random_normalized_vector(
@@ -156,3 +157,23 @@ def burau_oracle(w: BraidWord) -> LaurentPoly:
         col[c] = col[c] - one
     det = _determinant(cols)
     return normalize_units(det.exact_div(LaurentPoly.from_dict({e: 1 for e in range(n)})))
+
+
+# Garside oracles, kept for the tests of lorenzlinks.garside and the torus fold.
+def central_power(t: int, q: int) -> NormalForm:
+    """
+    Normal form of delta^(t*q), the q-th power of the centre generator of B_t.
+
+    delta^t equals Delta^2, so the factor sequence is 2q copies of the half
+    twist, which is already left weighted.
+    """
+    if t < 2:
+        raise ValueError("periodic words need at least two strands")
+    if q < 0:
+        raise ValueError("negative powers of positive braids do not exist")
+    return NormalForm(t, (Permutation.longest(t),) * (2 * q))
+
+
+def is_left_weighted(a: Permutation, b: Permutation) -> bool:
+    """Whether every sigma_i dividing b on the left divides a^{-1} on the left."""
+    return b.descents <= a.inverse.descents

@@ -4,17 +4,12 @@ import time
 
 import pytest
 
-from helpers import fitted_exponent, random_rewrite, rewrite_classes
-from lorenzlinks import BraidWord, bracket, normal_form, periodic_word, power, words_equal
-from lorenzlinks.garside import (
-    central_power,
-    is_left_weighted,
-    left_slide,
-    meet,
-    multiply,
-    nf_power,
-    right_complement,
-)
+from helpers import (central_power, fitted_exponent, is_left_weighted, random_rewrite,
+                     rewrite_classes)
+from lorenzlinks import (BraidWord, bracket, minimal_braid_word, normal_form, parse_vector,
+                         periodic_word, power, words_equal)
+from lorenzlinks import garside
+from lorenzlinks.garside import left_slide, meet, multiply, nf_power, right_complement
 from lorenzlinks.braid import Permutation, permutation_of_word
 
 
@@ -209,6 +204,30 @@ def test_right_complement():
             assert p.inversions() + c.inversions() == n * (n - 1) // 2
             cases += 1
     assert cases == 2 + 6 + 24 + 120
+
+
+def test_slide_memo_lasts_one_call(monkeypatch):
+    # Within one normal_form or product no pair is slid twice, and nothing
+    # carries over: a second call slides exactly as many pairs again.
+    w = minimal_braid_word(parse_vector("2^18,10^39"))
+    nf = normal_form(w)
+    cubed = nf_power(nf, 3)
+    slid = []
+    slide = garside._slide
+
+    def counted(a, b):
+        slid.append((a, b))
+        return slide(a, b)
+
+    monkeypatch.setattr(garside, "_slide", counted)
+    for run, expected in ((lambda: normal_form(w), nf), (lambda: nf_power(nf, 3), cubed)):
+        counts = []
+        for _ in range(2):
+            slid.clear()
+            assert run() == expected
+            assert slid and len(set(slid)) == len(slid)
+            counts.append(len(slid))
+        assert counts[0] == counts[1], counts
 
 
 @pytest.mark.slow

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from helpers import fitted_exponent, random_normalized_vector
+from helpers import central_power, fitted_exponent, random_normalized_vector
 from lorenzlinks import (
     LaurentPoly,
     LorenzVector,
@@ -23,7 +23,7 @@ from lorenzlinks import (
     tparams_to_vector,
     vector_to_tparams,
 )
-from lorenzlinks.garside import central_power, nf_power
+from lorenzlinks.garside import nf_power
 from lorenzlinks.lorenz import UNKNOT, _milestone_sizes
 from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _garside_verdict
 
@@ -252,6 +252,27 @@ def test_quadratic_envelope_of_the_cancelled_fold():
             best = dt if best is None else min(best, dt)
         assert (verdict.t, verdict.q, verdict.decided_by) == (8, s, "garside")
         sizes.append(word_len)
+        times.append(best)
+    assert sizes[-1] >= 1990
+    exponent = fitted_exponent(sizes, times)
+    assert exponent <= 4.0, (sizes, times, exponent)
+
+
+@pytest.mark.slow
+def test_envelope_of_the_factor_bound_fold():
+    # Morton-family knots <2^2m, 9^q>: every one ends in the NotTorus fold.
+    sizes = []
+    times = []
+    for text in ("2^8,9^31", "2^16,9^62", "2^32,9^121", "2^64,9^242"):
+        v = parse_vector(text)
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verdict = is_torus(v)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert verdict.decided_by == "factor_bound", (text, verdict)
+        sizes.append(_minimal_sizes(v)[1])
         times.append(best)
     assert sizes[-1] >= 1990
     exponent = fitted_exponent(sizes, times)
