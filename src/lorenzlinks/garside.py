@@ -16,11 +16,12 @@ fold (Epstein et al., Word Processing in Groups, ch. 9; Elrifai-Morton 1994):
 a simple element is appended to a left-weighted list, then one right-to-left
 pass of slides deletes any right factor that empties and stops at the first
 pair already left weighted, since every pair left of it is unchanged.
-normal_form first cuts the word into maximal permutation braids, so that
-each fold carries a whole factor.  A slide depends only on its pair, and
-Lorenz words, products of bracket powers, slide the same few pairs over and
-over, so one normal_form or product keeps one memo from pair to slide result
-and slides each pair once.  Nothing is cached across calls.
+_product is the one fold driver.  normal_form feeds it the maximal
+permutation braids cut from the word (_cut), so each fold carries a whole
+factor; multiply feeds it both operands' factors.  A slide depends only on
+its pair, and Lorenz words, products of bracket powers, slide the same few
+pairs over and over, so one _product call keeps one memo from pair to slide
+result and slides each pair once.  Nothing is cached across calls.
 
 Every word here is positive, so a normal form is just the strand count and
 the factor tuple, with no Delta^{-k} prefix.  Permutation objects appear only
@@ -30,7 +31,7 @@ at the boundary: in NormalForm.factors and the public helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .braid import (
     BraidWord,
@@ -83,8 +84,8 @@ def _fold(factors: list[Image], s: Image, memo: dict) -> None:
     """
     Right-multiply the left-weighted list by the nonidentity simple s, in place.
 
-    memo maps a pair (a, b) to _slide(a, b), None included.  The caller keeps
-    one memo for one normal_form or product and drops it after.
+    memo maps a pair (a, b) to _slide(a, b), None included; _product keeps
+    one memo per call and drops it after.
     """
     identity = tuple(range(1, len(s) + 1))
     factors.append(s)
@@ -105,21 +106,33 @@ def _fold(factors: list[Image], s: Image, memo: dict) -> None:
         j -= 1
 
 
-def _product(
-    left: list[Image], right: list[Image], limit: Optional[int] = None
-) -> Optional[list[Image]]:
+def _product(simples: Iterable[Image], limit: Optional[int] = None) -> Optional[list[Image]]:
     """
-    The factors of left * right, or None once the fold holds more than limit
-    factors: the fold so far left-divides the product, so the product has
-    more than limit factors too.
+    The left-weighted factors of the product of the nonidentity simples, or
+    None once the fold holds more than limit factors: the fold so far
+    left-divides the product, so the product has more than limit factors too.
     """
-    out = list(left)
+    out: list[Image] = []
     memo: dict = {}
-    for s in right:
+    for s in simples:
         _fold(out, s, memo)
         if limit is not None and len(out) > limit:
             return None
     return out
+
+
+def _cut(n: int, letters: tuple[int, ...]) -> Iterator[Image]:
+    """The maximal permutation braids of a positive word on n strands, in order,
+    as image tuples."""
+    # strand labels by position, within the permutation braid being cut
+    arrangement = list(range(1, n + 1))
+    for i in letters:
+        if arrangement[i - 1] > arrangement[i]:  # these two strands crossed already
+            yield _inverse(arrangement)
+            arrangement = list(range(1, n + 1))
+        arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
+    if letters:
+        yield _inverse(arrangement)
 
 
 def right_complement(p: Permutation) -> Permutation:
@@ -169,33 +182,15 @@ def _normal_form(strands: int, factors: list[Image]) -> NormalForm:
     return NormalForm(strands, tuple(Permutation(f) for f in factors))
 
 
-def _word_factors(w: BraidWord) -> list[Image]:
-    """The left-weighted factors of a positive word, as image tuples."""
-    n = w.strands
-    factors: list[Image] = []
-    memo: dict = {}
-    # strand labels by position, within the permutation braid being cut
-    arrangement = list(range(1, n + 1))
-    for i in w.letters:
-        if arrangement[i - 1] > arrangement[i]:  # these two strands crossed already
-            _fold(factors, _inverse(arrangement), memo)
-            arrangement = list(range(1, n + 1))
-        arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
-    if w.letters:
-        _fold(factors, _inverse(arrangement), memo)
-    return factors
-
-
 def normal_form(w: BraidWord) -> NormalForm:
     """The unique left-weighted factorisation of a positive word."""
-    return _normal_form(w.strands, _word_factors(w))
+    return _normal_form(w.strands, _product(_cut(w.strands, w.letters)))
 
 
 def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    product = _product([f.image for f in a.factors], [f.image for f in b.factors])
-    return _normal_form(a.strands, product)
+    return _normal_form(a.strands, _product(f.image for f in a.factors + b.factors))
 
 
 def nf_power(a: NormalForm, k: int) -> NormalForm:
@@ -207,7 +202,7 @@ def nf_power(a: NormalForm, k: int) -> NormalForm:
     """
     if k < 0:
         raise ValueError("negative powers of positive braids do not exist")
-    return _normal_form(a.strands, _product([], [f.image for f in a.factors] * k))
+    return _normal_form(a.strands, _product([f.image for f in a.factors] * k))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -60,9 +60,9 @@ class LorenzVector:
     def __post_init__(self) -> None:
         if not self.d:
             raise ValueError("empty displacement vector")
-        if any(x < 1 for x in self.d):
+        if min(self.d) < 1:
             raise ValueError(f"displacements must be positive: {self.d}")
-        if any(a > b for a, b in zip(self.d, self.d[1:])):
+        if list(self.d) != sorted(self.d):
             raise ValueError(f"displacements must be nondecreasing: {self.d}")
 
     @property
@@ -225,20 +225,15 @@ class StrandClassification:
 def classify_strands(v: LorenzVector) -> StrandClassification:
     """
     Type each strand by whether its endpoints lie in the left group 1..p or
-    the right group p+1..p+d_p.  There are p-t, t, t and d_p-t strands of
-    type LL, LR, RL and RR respectively.
+    the right group p+1..p+d_p.  The overcrossing ends i + d_i increase with
+    i, so the last t of the p overcrossing strands, and only they, end on the
+    right.  That leaves t left-group ends to the undercrossing strands, which
+    fill the free ends in increasing order, so the first t of them end on the
+    left.  By start position: LL p-t times, LR t, RL t and RR d_p-t times.
     """
-    _require_normalized(v)
-    perm = lorenz_permutation(v)
-    p = v.p
-    kinds = []
-    for start in range(1, v.strands + 1):
-        end = perm(start)
-        if start <= p:
-            kinds.append("LL" if end <= p else "LR")
-        else:
-            kinds.append("RL" if end <= p else "RR")
-    return StrandClassification(tuple(kinds))
+    t = trip_number(v)  # requires v normalized
+    return StrandClassification(
+        ("LL",) * (v.p - t) + ("LR",) * t + ("RL",) * t + ("RR",) * (v.dp - t))
 
 
 def dual_vector(v: LorenzVector) -> LorenzVector:

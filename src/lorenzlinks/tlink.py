@@ -9,8 +9,8 @@ words built here realise that identity inside the braid group and are checked
 against the T-braid word through the normal-form engine.
 
 k is not an invariant of the link: adjacent pairs with equal r merge, and the
-torus rewrite (see torus_simplify) can change k.  Canonical parameters have
-strictly increasing r.
+torus rewrite (see torus_simplify) can lower it by one, but never by two.
+Canonical parameters have strictly increasing r.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ def torus_simplify(t: TParams) -> tuple[TParams, bool]:
 
     When r_{k-1} <= s_k and every r_i divides s_i (i < k), the last pair
     (r_k, s_k) may be replaced by (s_k, r_k) without changing the link.
-    Returns (params, True) when the rule applied, (input, False) otherwise.
+    Returns (params, True) when the rule applied and (t.canonical(), False)
+    otherwise; params are canonical, so (s_k, r_k) merges when s_k = r_{k-1}.
     """
     t = t.canonical()
     r_prev = t.pairs[-2][0] if t.k >= 2 else 0
@@ -184,11 +185,14 @@ def torus_simplify(t: TParams) -> tuple[TParams, bool]:
 
 
 def torus_simplify_all(t: TParams) -> TParams:
-    """Apply the torus rewrite until it no longer helps (k = 1 is terminal)."""
+    """
+    The canonical parameters, after one torus rewrite if it lowers k.
+
+    A merge leaves (r_{k-1}, s_{k-1} + r_k) as the last pair, and a second
+    merge would need s_{k-1} + r_k = r_{k-2} < r_k, so one rewrite is all.
+    """
     current = t.canonical()
-    while current.k > 1:
-        simplified, applied = torus_simplify(current)
-        if not applied or simplified.k == current.k:
-            break
-        current = simplified
-    return current
+    if current.k == 1:
+        return current
+    simplified, _ = torus_simplify(current)
+    return simplified if simplified.k < current.k else current

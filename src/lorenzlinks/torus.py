@@ -15,7 +15,7 @@ rungs come before any braid arithmetic, in this order:
   so T(t, q) has gcd(t, q) components, counted here without a word.
 - tparams: the run-length pairs of the vector are T-parameters, and when
   the torus rewrite (tlink.torus_simplify_all) leaves one pair (r, s), the
-  closure is T(r, s).
+  closure is T(r, s).  That happens only for k = 1 or a merge from k = 2.
 
 Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
 (t-1)(q-t) letters.  The positive monoid is cancellative, so
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .braid import BraidWord, cycle_count
-from .garside import _product, _word_factors
+from .braid import cycle_count
+from .garside import _cut, _product
 from .lorenz import (UNKNOT, LorenzVector, _milestone_sizes, lorenz_permutation,
                      minimal_braid_word, normalize)
 from .tlink import torus_simplify_all, vector_to_tparams
@@ -78,8 +78,8 @@ UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 def _garside_verdict(nv: LorenzVector, t: int, q: int) -> TorusVerdict:
     """The fold of X^t within 2(q-t) factors, for a normalized vector whose
     minimal word has t strands and (t-1)q letters."""
-    x = BraidWord(t, minimal_braid_word(nv).letters[t * (t - 1):])
-    if _product([], _word_factors(x) * t, 2 * (q - t)) is None:
+    x = _product(_cut(t, minimal_braid_word(nv).letters[t * (t - 1):]))
+    if _product(x * t, 2 * (q - t)) is None:
         return NOT_TORUS["factor_bound"]
     return TorusVerdict("torus", t, q)
 

@@ -7,7 +7,7 @@ import math
 import random
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
-                         normalize_units)
+                         TParams, normalize_units, torus_simplify)
 
 
 def random_normalized_vector(
@@ -177,3 +177,15 @@ def central_power(t: int, q: int) -> NormalForm:
 def is_left_weighted(a: Permutation, b: Permutation) -> bool:
     """Whether every sigma_i dividing b on the left divides a^{-1} on the left."""
     return b.descents <= a.inverse.descents
+
+
+# Reference for tlink.torus_simplify_all: the torus rewrite applied until it
+# no longer lowers k.
+def torus_simplify_loop(t: TParams) -> TParams:
+    current = t.canonical()
+    while current.k > 1:
+        simplified, applied = torus_simplify(current)
+        if not applied or simplified.k == current.k:
+            break
+        current = simplified
+    return current

@@ -150,6 +150,27 @@ def test_classify_strands():
     assert cls.counts == {"LL": 6, "LR": 3, "RL": 3, "RR": 5}
 
 
+def _classify_by_walk(v: LorenzVector) -> tuple[str, ...]:
+    """Strand types read off the Lorenz permutation, one strand at a time."""
+    perm = lorenz_permutation(v)
+    p = v.p
+    kinds = []
+    for start in range(1, v.strands + 1):
+        end = perm(start)
+        if start <= p:
+            kinds.append("LL" if end <= p else "LR")
+        else:
+            kinds.append("RL" if end <= p else "RR")
+    return tuple(kinds)
+
+
+def test_classification_matches_permutation_walk():
+    rng = random.Random(78)
+    for _ in range(2000):
+        v = random_normalized_vector(rng)
+        assert classify_strands(v).kinds == _classify_by_walk(v), v
+
+
 def test_classification_counts_formula():
     rng = random.Random(77)
     for _ in range(100):

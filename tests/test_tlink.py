@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import braid_index_k1, braid_index_k2, random_normalized_vector
+from helpers import (braid_index_k1, braid_index_k2, random_normalized_vector,
+                     torus_simplify_loop)
 from lorenzlinks import (
     ParseError,
     TParams,
@@ -174,6 +176,21 @@ def test_torus_simplify_all_stops_when_k_stays():
     tp = TParams(((2, 2), (4, 3)))
     assert torus_simplify(tp) == (TParams(((2, 2), (3, 4))), True)  # a swap: k stays 2
     assert torus_simplify_all(tp) == tp
+
+
+def test_torus_simplify_all_is_one_rewrite_on_a_grid():
+    # every canonical TParams with k <= 3, 2 <= r <= 9 and 1 <= s <= 8
+    one_pair = 0
+    for k in (1, 2, 3):
+        for rs in itertools.combinations(range(2, 10), k):
+            for ss in itertools.product(range(1, 9), repeat=k):
+                tp = TParams(tuple(zip(rs, ss)))
+                reduced = torus_simplify_all(tp)
+                assert reduced == torus_simplify_loop(tp), tp
+                merges = k == 2 and ss[1] == rs[0] and ss[0] % rs[0] == 0
+                assert (reduced.k == 1) == (k == 1 or merges), tp
+                one_pair += reduced.k == 1
+    assert one_pair > 8 * 8  # some k = 2 parameters merge
 
 
 def test_torus_simplify_preserves_closure_invariants():
