@@ -17,7 +17,9 @@ exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
 The Burau route runs on integers at one packed point t = 2^B, with B set
 from the matrix's own column sums, and reads the coefficients back as signed
-base-2^B digits (Kronecker substitution).
+base-2^B digits (Kronecker substitution).  Leading full twists, which start
+every minimal word, are central and enter as the scalar t^n; only the letters
+after them are multiplied out, at a width set by those letters.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def burau_alexander(
     10 strands and 120 letters, admit the minimal word of every known census
     knot: the longest has 116 letters and the widest 9 strands.  Non-split
     closures of positive braids are fibred: Delta must be monic of span
-    len(w) - n + 1, which is 2g + mu - 1.
+    len(w) - n + 1, which is 2g + mu - 1.  Leading full twists enter as t^n
+    each, and the packing width b comes from the letters after them.
     """
     n = w.strands
     if n > max_strands or len(w) > max_letters:
@@ -205,27 +208,38 @@ def burau_alexander(
         raise UnsupportedInput("closure is split")
     if n == 1:
         return LaurentPoly.one()
+    # The full twist delta^n, delta = sigma_1 ... sigma_(n-1), is central and
+    # maps to the scalar t^n.  So M = t^lead * R, where lead counts the delta
+    # copies in the leading full twists and R is built from the rest alone.
+    letters, delta = w.letters, tuple(range(1, n))
+    copies = 0
+    while letters[copies * (n - 1):(copies + 1) * (n - 1)] == delta:
+        copies += 1
+    lead = copies - copies % n
+    rest = letters[lead * (n - 1):]
     # sigma_i differs from the identity only in row i (t, -t, 1 at columns i-1,
     # i, i+1), so it adds column i to its neighbours; the same update on sums
     # bounds each column's coefficients.  Columns 0 and n pad both ends.
     sums = [1] * (n + 1)
-    for i in w.letters:
+    for i in rest:
         sums[i - 1] += sums[i]
         sums[i + 1] += sums[i]
     b = max(sums[1:n]).bit_length() + 2
     cols = [[int(r == c) for r in range(1, n)] for c in range(n + 1)]
-    for i in w.letters:
+    for i in rest:
         col = cols[i]
         cols[i - 1] = [a + (x << b) for a, x in zip(cols[i - 1], col)]
         cols[i + 1] = [a + x for a, x in zip(cols[i + 1], col)]
         cols[i] = [-(x << b) for x in col]
-    entries = [[_digits(x - (r == c), b) for r, x in enumerate(cols[c], 1)]
-               for c in range(1, n)]  # M - I, one digit list per entry
-    bound = 2 * math.prod(max(1, sum(abs(d) for e in c for d in e)) for c in entries)
+    entries = [[_digits(x, b) for x in cols[c]] for c in range(1, n)]  # R
+    # L1(R column) + 1 bounds the column of M - I, exactly when lead > 0: the
+    # -1 has degree 0 and every term of t^lead * R has degree >= n.
+    bound = 2 * math.prod(sum(abs(d) for e in c for d in e) + 1 for c in entries)
     big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
     # det(M - I) is the determinant of its transpose, so the columns serve as rows
-    det = _determinant([[sum(d << (big * j) for j, d in enumerate(e)) for e in col]
-                        for col in entries])
+    det = _determinant([[(sum(d << (big * j) for j, d in enumerate(e)) << (big * lead))
+                         - (r == c) for r, e in enumerate(col, 1)]
+                        for c, col in enumerate(entries, 1)])
     quot, rem = divmod(det, ((1 << (big * n)) - 1) // ((1 << big) - 1))
     if rem:
         raise ArithmeticError("inexact polynomial division")

@@ -23,7 +23,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 from .braid import (
     BraidWord,
@@ -151,33 +151,11 @@ def format_vector(v: LorenzVector) -> str:
     return ",".join(f"{r}^{s}" if s > 1 else str(r) for r, s in v.rle)
 
 
-def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
-    """
-    Yield the vector after each single destabilization move.
-
-    A leading displacement 1 deletes the first strand; while d_{p-1} < d_p the
-    last displacement decrements.  Both moves remove one crossing and one
-    strand, so c - n is preserved at every step.  The iteration stops at a
-    normalized vector or once only a single strand remains.
-    """
-    d = list(v.d)
-    while True:
-        if len(d) >= 1 and d[0] == 1:
-            d.pop(0)
-        elif len(d) >= 2 and d[-2] < d[-1]:
-            d[-1] -= 1
-        else:
-            return
-        if not d:
-            return
-        yield LorenzVector(tuple(d))
-
-
 def normalize(v: LorenzVector) -> MaybeUnknot:
     """
-    Destabilize to a normalized vector, or to the unknot verdict: the moves of
-    normalize_steps in one pass.  The leading 1s go, then d_p falls to d_{p-1};
-    a decrement never makes a leading 1.
+    Destabilize to a normalized vector, or to the unknot verdict, in one pass:
+    the leading 1s go, then d_p falls to d_{p-1}.  Each move removes one
+    crossing and one strand, so c - n is kept; a decrement never makes a leading 1.
     """
     d = v.d
     start = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterator
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
                          TParams, normalize_units, torus_simplify)
@@ -189,3 +190,26 @@ def torus_simplify_loop(t: TParams) -> TParams:
             break
         current = simplified
     return current
+
+
+# Reference for lorenz.normalize: the single destabilization moves, one at a time.
+def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
+    """
+    Yield the vector after each single destabilization move.
+
+    A leading displacement 1 deletes the first strand; while d_{p-1} < d_p the
+    last displacement decrements.  Both moves remove one crossing and one
+    strand, so c - n is preserved at every step.  The iteration stops at a
+    normalized vector or once only a single strand remains.
+    """
+    d = list(v.d)
+    while True:
+        if len(d) >= 1 and d[0] == 1:
+            d.pop(0)
+        elif len(d) >= 2 and d[-2] < d[-1]:
+            d[-1] -= 1
+        else:
+            return
+        if not d:
+            return
+        yield LorenzVector(tuple(d))

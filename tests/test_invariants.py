@@ -238,6 +238,95 @@ def test_burau_links_match_polynomial_oracle():
             links += 1
 
 
+def _torus_alexander(p: int, q: int) -> LaurentPoly:
+    """(t^(pq/d) - 1)^d (t - 1) / ((t^p - 1)(t^q - 1)), d = gcd(p, q): Delta of T(p, q)."""
+    one, d = LaurentPoly.one(), math.gcd(p, q)
+    num = LaurentPoly.t_power(1) - one
+    for _ in range(d):
+        num = num * (LaurentPoly.t_power(p * q // d) - one)
+    return num.exact_div((LaurentPoly.t_power(p) - one) * (LaurentPoly.t_power(q) - one))
+
+
+def test_full_twist_peel_matches_polynomial_oracle():
+    # k*n + j leading copies of delta = sigma_1 ... sigma_(n-1): k full twists
+    # enter as t^(kn), and the j copies after them are multiplied out.
+    rng = random.Random(1607)
+    kinds = set()
+    for n in range(2, 9):
+        delta = tuple(range(1, n))
+        for k in range(4):
+            for j in sorted({0, 1, n - 1}):
+                tail = list(range(1, n)) + [rng.randint(1, n - 1)
+                                            for _ in range(rng.randint(0, 12))]
+                rng.shuffle(tail)
+                while n > 2 and tuple(tail[:n - 1]) == delta:
+                    rng.shuffle(tail)  # exactly k*n + j copies lead (n = 2: all do)
+                w = BraidWord(n, delta * (k * n + j) + tuple(tail))
+                got = burau_alexander(w, max_letters=len(w))
+                assert got == burau_oracle(w), (n, k, j, format_word(w))
+                kinds.add(cycle_count(permutation_of_word(w)) > 1)
+    assert kinds == {False, True}  # knots and non-split links both occur
+
+
+def test_full_twist_mid_word_agrees_with_the_oracle():
+    # the head does not start with delta, so nothing is peeled
+    rng = random.Random(16)
+    for n in range(3, 8):
+        twist = tuple(range(1, n)) * n
+        head = [rng.randint(2, n - 1)] + [rng.randint(1, n - 1) for _ in range(5)]
+        tail = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(5)]
+        w = BraidWord(n, tuple(head) + twist + tuple(tail))
+        front = BraidWord(n, twist + tuple(head + tail))  # the twist is central
+        got = burau_alexander(w, max_letters=len(w))
+        assert got == burau_oracle(w), format_word(w)
+        assert got == burau_alexander(front, max_letters=len(front))
+
+
+def test_twist_only_words_close_to_torus_links():
+    # delta^(nk) is k full twists with nothing after them: T(n, nk)
+    for n in range(2, 8):
+        for k in range(1, 4):
+            w = periodic_word(n, n * k)
+            got = burau_alexander(w, max_letters=len(w))
+            assert poly_equal_up_to_units(got, _torus_alexander(n, n * k)), (n, k)
+            assert got == burau_oracle(w), (n, k)
+
+
+def test_burau_of_torus_knots_matches_closed_form():
+    checked = 0
+    for t in range(2, 10):
+        for q in range(1, 4 * t + 1):
+            if math.gcd(t, q) != 1:
+                continue
+            w = periodic_word(t, q)
+            got = burau_alexander(w, max_letters=len(w))
+            assert poly_equal_up_to_units(got, _torus_alexander(t, q)), (t, q)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.slow
+def test_envelope_of_torus_words_after_the_full_twists():
+    # delta^(9k+2) on 9 strands: k full twists enter as t^(9k), and only the
+    # two copies of delta after them are multiplied out.
+    sizes = []
+    times = []
+    for k in (2, 4, 8, 16, 32, 64):
+        w = periodic_word(9, 9 * k + 2)
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            poly = burau_alexander(w, max_letters=len(w))
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert poly.span == len(w) - 8, k
+        sizes.append(len(w))
+        times.append(best)
+    assert sizes[-1] >= 4000
+    exponent = fitted_exponent(sizes, times)
+    assert exponent <= 1.6, (sizes, times, exponent)
+
+
 # The Morton-family knots <2^2m, p^q> of the bench's alexander workload, as (m, p, q)
 WORKLOAD_MORTON = [
     (2, 5, 7), (3, 7, 9), (4, 9, 11), (5, 11, 13), (6, 13, 15), (7, 15, 17),

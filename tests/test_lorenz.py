@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from helpers import random_normalized_vector
+from helpers import normalize_steps, random_normalized_vector
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
@@ -31,7 +31,6 @@ from lorenzlinks.lorenz import (
     TmTriple,
     VectorOrderWarning,
     minimal_word_from_triple,
-    normalize_steps,
 )
 
 FAVORITE = "2^4,3^2,6,8^2"
