@@ -66,11 +66,6 @@ class Permutation:
         return cls(tuple(image))
 
     @classmethod
-    def longest(cls, n: int) -> "Permutation":
-        """The order-reversing permutation, i.e. the half twist Delta."""
-        return cls(tuple(range(n, 0, -1)))
-
-    @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> "Permutation":
         """Trace the strands of a positive word given by its letters."""
         # arrangement[pos-1] = label of the strand currently at position pos
@@ -96,19 +91,10 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(_inverse(self.image))
 
-    @cached_property
-    def descents(self) -> frozenset[int]:
-        """Letters i with pi(i) > pi(i+1): the sigma_i dividing this braid on the left."""
-        img = self.image
-        return frozenset(i for i in range(1, len(img)) if img[i - 1] > img[i])
-
     def inversions(self) -> int:
         img = self.image
         n = len(img)
         return sum(1 for a in range(n) for b in range(a + 1, n) if img[a] > img[b])
-
-    def is_identity(self) -> bool:
-        return all(x == a for a, x in enumerate(self.image, start=1))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Census ingestion and batch invariant reports.
 The bundled census file lists the simplest hyperbolic knots together with a
 Lorenz vector where one is known (107 of 112 rows) and "?" where the question
 is open.  Reports combine the invariant table with the torus-detection
-verdict; batch reports come back in input order, and a failing entry never
-aborts the rest of the batch.
+verdict, which is decided from that same invariant report, so each row
+normalizes its vector, counts t and walks its permutation once.  Batch
+reports come back in input order, and a failing entry never aborts the rest
+of the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import ParseError
 from .invariants import InvariantReport, invariant_report
 from .lorenz import LorenzVector, format_vector, parse_vector
-from .torus import TorusVerdict, is_torus
+from .torus import TorusVerdict, _verdict
 
 REPORT_SCHEMA = "lorenzlinks.report/2"
 
@@ -116,11 +118,12 @@ class Report:
 def report(
     vector: LorenzVector, name: str = "", notes: Iterable[str] = ()
 ) -> Report:
+    rep = invariant_report(vector)
     return Report(
         name=name,
         vector=vector,
-        invariants=invariant_report(vector),
-        torus=is_torus(vector),
+        invariants=rep,
+        torus=_verdict(rep),
         warnings=tuple(notes),
     )
 

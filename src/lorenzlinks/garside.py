@@ -168,10 +168,6 @@ class NormalForm:
     strands: int
     factors: tuple[Permutation, ...]
 
-    @property
-    def letter_count(self) -> int:
-        return sum(f.inversions() for f in self.factors)
-
     def word(self) -> BraidWord:
         return concat_all(
             self.strands, (permutation_braid_word(f) for f in self.factors)

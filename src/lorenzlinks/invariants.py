@@ -34,10 +34,10 @@ from .laurent import LaurentPoly, normalize_units
 from .lorenz import (
     UNKNOT,
     LorenzVector,
-    _milestone_sizes,
     format_vector,
     lorenz_permutation,
     normalize,
+    trip_number,
 )
 
 @dataclass(frozen=True)
@@ -97,13 +97,23 @@ _UNKNOT_REPORT = InvariantReport(
 
 
 def invariant_report(v: LorenzVector) -> InvariantReport:
-    """Full invariant report of the normalized input, from closed forms."""
+    """
+    Full invariant report of the normalized input, from closed forms; no word
+    is built.  Crossings and strands are keyed as in Milestones.words.  The
+    T-braid has sum s_i (r_i - 1) = S - p crossings, and the dual vector has
+    the same total S with p and d_p swapped, so its T-braid has S - d_p.  Every
+    milestone word has the same c - n, so the minimal word on t strands has
+    S - p - d_p + t letters.
+    """
     nv = normalize(v)
     if nv is UNKNOT:
         return _UNKNOT_REPORT
     mu = cycle_count(lorenz_permutation(nv))
-    crossings, braid_indices = _milestone_sizes(nv)
-    cmn = crossings["lorenz"] - braid_indices["lorenz"]
+    total, p, dp, t = nv.total, nv.p, nv.dp, trip_number(nv)
+    cmn = total - p - dp
+    crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,
+                 "minimal": cmn + t}
+    braid_indices = {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t}
     twice_genus = cmn + 2 - mu
     if twice_genus < 0 or twice_genus % 2:
         raise AssertionError(f"genus formula broke on {format_vector(nv)}")
@@ -113,7 +123,7 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
         components=mu,
         genus=genus,
         unknotting_number=genus + mu - 1,
-        trip=braid_indices["minimal"],
+        trip=t,
         c_minus_n=cmn,
         crossings=crossings,
         braid_indices=braid_indices,

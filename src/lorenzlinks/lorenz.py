@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -185,8 +186,9 @@ def lorenz_braid_word(v: LorenzVector) -> BraidWord:
 def trip_number(v: LorenzVector) -> int:
     """t = #{i : i + d_i > p}; the minimal braid index of the closure."""
     _require_normalized(v)
-    p = v.p
-    return sum(1 for i, di in enumerate(v.d, start=1) if i + di > p)
+    # the ends i + d_i strictly increase, so those above p form a suffix
+    p, d = v.p, v.d
+    return p - bisect_right(range(p), p, key=lambda j: j + 1 + d[j])
 
 
 @dataclass(frozen=True)
@@ -354,21 +356,6 @@ class Milestones:
     def c_minus_n(self) -> int:
         """Crossings minus strands; identical for all four representations."""
         return len(self.lorenz) - self.lorenz.strands
-
-
-def _milestone_sizes(v: LorenzVector) -> tuple[dict[str, int], dict[str, int]]:
-    """
-    Crossings and strands of the milestone words of a normalized vector, keyed
-    as in Milestones.words, from closed forms; no word is built.  The T-braid
-    has sum s_i (r_i - 1) = S - p crossings, and the dual vector has the same
-    total S with p and d_p swapped.
-    """
-    total, p, dp, t = v.total, v.p, v.dp, trip_number(v)
-    return (
-        {"lorenz": total, "t": total - p, "t_dual": total - dp,
-         "minimal": total + t - p - dp},
-        {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t},
-    )
 
 
 def milestone_words(v: LorenzVector) -> Milestones:

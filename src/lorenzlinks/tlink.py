@@ -95,9 +95,10 @@ def vector_to_tparams(v: LorenzVector) -> TParams:
 
 
 def tparams_to_vector(t: TParams) -> LorenzVector:
-    """The Lorenz vector whose run-length form is the (canonical) parameters."""
+    """The Lorenz vector whose run-length form is the canonical parameters;
+    r is nondecreasing, so expanding the pairs unmerged gives the same vector."""
     entries: list[int] = []
-    for r, s in t.canonical().pairs:
+    for r, s in t.pairs:
         entries.extend([r] * s)
     return LorenzVector(tuple(entries))
 

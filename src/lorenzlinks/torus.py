@@ -7,12 +7,15 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 |M| / (t-1).  Conjugacy is then reduced to the word problem: delta = [1,t]
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
-|M| and t have closed forms in the vector.  The minimal word begins with
-[1,t]^t, which has t(t-1) letters, so q >= t needs no test.  Two cheap
-rungs come before any braid arithmetic, in this order:
+t, |M| and the component count mu have closed forms in the vector, and
+is_torus reads all three from invariants.invariant_report; census.report
+passes its own report to the same decision, so nothing is counted twice.
+The minimal word begins with [1,t]^t, which has t(t-1) letters, so q >= t
+needs no test.  Two cheap rungs come before any braid arithmetic, in this
+order:
 
 - components: delta^q permutes the strands as the q-th power of a t-cycle,
-  so T(t, q) has gcd(t, q) components, counted here without a word.
+  so T(t, q) has gcd(t, q) components; mu is counted without a word.
 - tparams: the run-length pairs of the vector are T-parameters, and when
   the torus rewrite (tlink.torus_simplify_all) leaves one pair (r, s), the
   closure is T(r, s).  That happens only for k = 1 or a merge from k = 2.
@@ -36,10 +39,9 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .braid import cycle_count
 from .garside import _cut, _product
-from .lorenz import (UNKNOT, LorenzVector, _milestone_sizes, lorenz_permutation,
-                     minimal_braid_word, normalize)
+from .invariants import InvariantReport, invariant_report
+from .lorenz import LorenzVector, minimal_braid_word
 from .tlink import torus_simplify_all, vector_to_tparams
 
 
@@ -84,20 +86,24 @@ def _garside_verdict(nv: LorenzVector, t: int, q: int) -> TorusVerdict:
     return TorusVerdict("torus", t, q)
 
 
-def is_torus(v: LorenzVector) -> TorusVerdict:
-    """Decide torus-ness of the closure; the input is normalized first."""
-    nv = normalize(v)
-    if nv is UNKNOT:
+def _verdict(rep: InvariantReport) -> TorusVerdict:
+    """The torus verdict of the link whose invariant report is rep."""
+    nv = rep.vector
+    if nv is None:
         return UNKNOT_VERDICT
-    crossings, strands = _milestone_sizes(nv)
-    t, length = strands["minimal"], crossings["minimal"]
+    t, length = rep.trip, rep.min_crossing_number
     if length % (t - 1):
         return NOT_TORUS["length"]
     q = length // (t - 1)
-    if cycle_count(lorenz_permutation(nv)) != gcd(t, q):
+    if rep.components != gcd(t, q):
         return NOT_TORUS["components"]
     reduced = torus_simplify_all(vector_to_tparams(nv))
     if reduced.k == 1:
         r, s = reduced.pairs[0]
         return TorusVerdict("torus", min(r, s), max(r, s), decided_by="tparams")
     return _garside_verdict(nv, t, q)
+
+
+def is_torus(v: LorenzVector) -> TorusVerdict:
+    """Decide torus-ness of the closure; the input is normalized first."""
+    return _verdict(invariant_report(v))

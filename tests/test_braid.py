@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import longest
 from lorenzlinks import (
     BraidWord,
     ParseError,
@@ -138,7 +139,7 @@ def test_flip_word():
         w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))))
         assert flip_word(flip_word(w)) == w
         assert len(flip_word(w)) == len(w)
-        w0 = Permutation.longest(n)
+        w0 = longest(n)
         assert permutation_of_word(flip_word(w)) == w0.then(
             permutation_of_word(w)
         ).then(w0)

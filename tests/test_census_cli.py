@@ -22,6 +22,7 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks import census as census_mod
+from lorenzlinks import invariants, lorenz
 from lorenzlinks.census import REPORT_SCHEMA, builtin_knotscape_names
 from lorenzlinks.errors import ParseError
 from lorenzlinks.lorenz import VectorOrderWarning
@@ -296,13 +297,42 @@ def test_cli_quiet_leaves_warning_filters_alone(capsys):
         parse_vector("3,2")
 
 
-def test_cli_census_report_survives_a_failed_row(monkeypatch, capsys):
-    def failing_is_torus(vector):
-        if format_vector(vector) == "2^2,3^5":  # k3_1
-            raise MemoryError("out of memory")
-        return is_torus(vector)
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap fn under every lorenzlinks module name bound to it; the list
+    returned grows by one entry per call."""
+    calls = []
 
-    monkeypatch.setattr(census_mod, "is_torus", failing_is_torus)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lorenzlinks" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_census_report_computes_each_rows_facts_once(monkeypatch):
+    reports = _count_calls(monkeypatch, invariants.invariant_report)
+    walks = _count_calls(monkeypatch, lorenz.lorenz_permutation)
+    known = [e for e in load_census() if e.known]
+    assert len(known) == 107
+    for entry in known:
+        reports.clear()
+        walks.clear()
+        census_mod.report(entry.vector, entry.name)
+        assert (len(reports), len(walks)) == (1, 1), entry.name
+
+
+def test_cli_census_report_survives_a_failed_row(monkeypatch, capsys):
+    verdict = census_mod._verdict
+
+    def failing_verdict(rep):
+        if format_vector(rep.vector) == "2^2,3^5":  # k3_1
+            raise MemoryError("out of memory")
+        return verdict(rep)
+
+    monkeypatch.setattr(census_mod, "_verdict", failing_verdict)
     assert cli.main(["census", "report"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 112

@@ -140,6 +140,15 @@ def test_trip_number():
         trip_number(LorenzVector((1, 2, 2)))
 
 
+def test_trip_number_agrees_with_count():
+    # the definition t = #{i : i + d_i > p}, counted strand by strand
+    rng = random.Random(19)
+    for _ in range(20000):
+        v = random_normalized_vector(rng, max_p=60, max_r=20)
+        count = sum(1 for i, di in enumerate(v.d, start=1) if i + di > v.p)
+        assert trip_number(v) == count, v
+
+
 def test_classify_strands():
     cls = classify_strands(parse_vector(FAVORITE))
     assert cls.counts == {"LL": 6, "LR": 3, "RL": 3, "RR": 5}

@@ -11,6 +11,7 @@ from lorenzlinks import (
     LorenzVector,
     TParams,
     burau_alexander,
+    invariant_report,
     is_torus,
     load_census,
     minimal_braid_word,
@@ -18,13 +19,13 @@ from lorenzlinks import (
     normalize,
     parse_vector,
     poly_equal_up_to_units,
+    report,
     torus_simplify,
     torus_simplify_all,
     tparams_to_vector,
     vector_to_tparams,
 )
 from lorenzlinks.garside import nf_power
-from lorenzlinks.lorenz import UNKNOT, _milestone_sizes
 from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _garside_verdict
 
 
@@ -85,6 +86,12 @@ def test_verdict_names_its_rung():
     assert set(NOT_TORUS) == {"length", "components", "factor_bound"}
 
 
+def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
+    """(t, |M|): the strands and letters of the minimal word."""
+    rep = invariant_report(v)
+    return rep.trip, rep.min_crossing_number
+
+
 def test_cheap_rungs_agree_with_full_power():
     # Every vector that passes the length rule, decided by components, the
     # T-parameter rewrite, the factor bound or a fold within 2(q-t) factors,
@@ -93,8 +100,7 @@ def test_cheap_rungs_agree_with_full_power():
     rungs = collections.Counter()
     while sum(rungs.values()) < 2000:
         v = random_normalized_vector(rng, max_p=18, max_r=8)
-        crossings, strands = _milestone_sizes(v)
-        t, length = strands["minimal"], crossings["minimal"]
+        t, length = _minimal_sizes(v)
         if length % (t - 1):
             continue
         q = length // (t - 1)
@@ -107,12 +113,6 @@ def test_cheap_rungs_agree_with_full_power():
         assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
     assert rungs["components"] >= 300 and rungs["factor_bound"] >= 200, rungs
     assert rungs["tparams"] and rungs["garside"], rungs
-
-
-def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
-    """(t, |M|): the strands and letters of the minimal word."""
-    crossings, strands = _milestone_sizes(v)
-    return strands["minimal"], crossings["minimal"]
 
 
 def test_tparams_reduction_agrees_with_the_fold():
@@ -162,6 +162,18 @@ def test_torus_knot_verdicts_match_burau():
         assert poly_equal_up_to_units(poly, _torus_alexander(verdict.t, verdict.q)), v
         rungs[verdict.decided_by] += 1
     assert rungs["tparams"] >= 100 and rungs["garside"] >= 20, rungs
+
+
+def test_census_report_verdict_is_is_torus():
+    # census.report decides from the invariant report it already holds; its
+    # verdict and deciding rung must be those of is_torus
+    rng = random.Random(37)
+    known = [entry.vector for entry in load_census() if entry.known]
+    assert len(known) == 107
+    seeded = [random_normalized_vector(rng, max_p=18, max_r=8) for _ in range(2000)]
+    for v in known + seeded:
+        got, want = report(v).torus, is_torus(v)
+        assert (got, got.decided_by) == (want, want.decided_by), v
 
 
 def test_census_rung_histogram():
