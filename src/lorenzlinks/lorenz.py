@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -184,7 +184,8 @@ def lorenz_braid_word(v: LorenzVector) -> BraidWord:
 
 
 def trip_number(v: LorenzVector) -> int:
-    """t = #{i : i + d_i > p}; the minimal braid index of the closure."""
+    """t = #{i : i + d_i > p}; the minimal braid index of the closure, and the
+    side of the Durfee square (the largest t with t rows of length >= t)."""
     _require_normalized(v)
     # the ends i + d_i strictly increase, so those above p form a suffix
     p, d = v.p, v.d
@@ -220,28 +221,23 @@ def dual_vector(v: LorenzVector) -> LorenzVector:
     """
     The vector of the dual Lorenz braid (the braid rotated on the template).
 
-    In run-length form, rbar_j = s_k + ... + s_{k-j+1} and
-    sbar_j = r_{k-j+1} - r_{k-j} with r_0 = 0; the dual swaps p and d_p and
-    represents the same link.
+    Read d as a partition with rows d_i: the dual is its conjugate, column x
+    having height #{i : d_i >= x} for x = d_p down to 1.  In run-length form
+    that is rbar_j = s_k + ... + s_{k-j+1} repeated sbar_j = r_{k-j+1} - r_{k-j}
+    times, with r_0 = 0; the dual swaps p and d_p and represents the same link.
     """
     _require_normalized(v)
-    pairs = v.rle
-    k = len(pairs)
-    r = [0] + [pr[0] for pr in pairs]  # r[0] = 0 sentinel
-    s = [pr[1] for pr in pairs]
-    entries: list[int] = []
-    acc = 0
-    for j in range(1, k + 1):
-        acc += s[k - j]
-        r_bar = acc
-        s_bar = r[k - j + 1] - r[k - j]
-        entries.extend([r_bar] * s_bar)
-    return LorenzVector(tuple(entries))
+    d = v.d
+    # a list: tuple() of a generator grows by resizes, which raised peak RSS
+    return LorenzVector(tuple([len(d) - bisect_left(d, x) for x in range(d[-1], 0, -1)]))
 
 
 @dataclass(frozen=True)
 class TmTriple:
-    """Counts of LL strands (n) and RR strands (m) by displacement."""
+    """Counts of LL strands (n) and RR strands (m) by displacement: the Durfee
+    decomposition of the vector read as a partition, with t the side of the
+    Durfee square, n_i its rows of length i+1 below the square and m_i its
+    columns of height i+1 to the right of it."""
 
     t: int
     n: tuple[int, ...]
@@ -256,49 +252,36 @@ class TmTriple:
             raise ValueError("counts must be nonnegative")
 
 
+def _ll_counts(d: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """Counts of 2, ..., t among d[:len(d) - t], the rows below the Durfee square."""
+    ll = d[:len(d) - t]
+    return tuple([bisect_right(ll, x) - bisect_left(ll, x) for x in range(2, t + 1)])
+
+
 def tm_triple(v: LorenzVector) -> TmTriple:
     """
     The triple (t, n, m): n_i counts LL strands with d_j = i+1, and m_i counts
-    RR strands via the dual vector, whose LL strands they become.
+    RR strands via the dual vector, whose LL strands they become.  The
+    conjugate has the same Durfee square, so its trip number is t too.
     """
-    _require_normalized(v)
-    t = trip_number(v)
-    n = [0] * (t - 1)
-    for j in range(1, v.p - t + 1):
-        n[v.d[j - 1] - 2] += 1
-    dual = dual_vector(v)
-    m = [0] * (t - 1)
-    for j in range(1, dual.p - t + 1):
-        m[dual.d[j - 1] - 2] += 1
-    return TmTriple(t, tuple(n), tuple(m))
+    t = trip_number(v)  # requires v normalized
+    return TmTriple(t, _ll_counts(v.d, t), _ll_counts(dual_vector(v).d, t))
 
 
 def vector_from_triple(triple: TmTriple) -> LorenzVector:
     """
     Reconstruct the unique Lorenz vector with the given triple.
 
-    The n-counts give the LL displacements and, through the dual, the m-counts
-    place the RR strands; the LR strands then occupy the remaining right-group
-    end positions in increasing order, which pins down every displacement.
+    The n-counts give the LL rows.  The t LR rows hold the Durfee square, and
+    the j-th longest of them is t plus the number of columns right of the
+    square with height >= j; the m-counts give those heights, 2..t.  Every
+    valid triple gives a normalized vector with trip number t: the LL rows lie
+    in 2..t and each LR row is at least t, so the Durfee side is t, and the two
+    longest rows each take every column, since every height is at least 2.
     """
-    t = triple.t
-    p = t + sum(triple.n)
-    dp = t + sum(triple.m)
-    n_strands = p + dp
+    t, m = triple.t, triple.m
     d_ll = [i + 1 for i in range(1, t) for _ in range(triple.n[i - 1])]
-    d_ll.sort()
-    dual_ll = [i + 1 for i in range(1, t) for _ in range(triple.m[i - 1])]
-    dual_ll.sort()
-    # Dual overcrossing strand jbar -> jbar + dbar corresponds to the original
-    # undercrossing strand from n+1-jbar down to n+1-(jbar+dbar).
-    rr_ends = {
-        n_strands + 1 - (jbar + dbar)
-        for jbar, dbar in enumerate(dual_ll, start=1)
-    }
-    lr_ends = sorted(set(range(p + 1, n_strands + 1)) - rr_ends)
-    if len(lr_ends) != t:
-        raise ValueError(f"inconsistent triple {triple}")
-    d_lr = [end - start for start, end in zip(range(p - t + 1, p + 1), lr_ends)]
+    d_lr = [t + sum(m[max(j - 2, 0):]) for j in range(t, 0, -1)]
     return LorenzVector(tuple(d_ll + d_lr))
 
 

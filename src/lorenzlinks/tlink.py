@@ -136,8 +136,9 @@ def z_word(v: LorenzVector) -> BraidWord:
 def dual_tparams(t: TParams) -> TParams:
     """
     The dual parameters: rbar_j = s_k + ... + s_{k-j+1},
-    sbar_j = r_{k-j+1} - r_{k-j} (r_0 = 0).  Requires s_k >= 2 so that the
-    dual again has r_1 >= 2; both parameter lists close to the same link.
+    sbar_j = r_{k-j+1} - r_{k-j} (r_0 = 0), the conjugate partition that
+    dual_vector computes.  Requires s_k >= 2 so that the dual again has
+    r_1 >= 2; both parameter lists close to the same link.
     """
     t = t.canonical()
     if t.pairs[-1][1] < 2:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import warnings
@@ -14,6 +15,7 @@ from lorenzlinks import (
     dual_vector,
     flip_word,
     format_vector,
+    load_census,
     lorenz_braid_word,
     lorenz_permutation,
     milestone_words,
@@ -205,13 +207,18 @@ def test_dual_examples():
 
 def test_dual_involution_and_braid_index():
     rng = random.Random(123)
-    for _ in range(300):
-        v = random_normalized_vector(rng, max_p=30)
+    census = [e.vector for e in load_census() if e.known]
+    assert len(census) == 107
+    for v in census + [random_normalized_vector(rng, max_p=30) for _ in range(300)]:
         d = dual_vector(v)
         assert d.is_normalized
         assert dual_vector(d) == v
         assert d.p + d.dp == v.p + v.dp
         assert d.p == v.dp and d.dp == v.p
+        # the conjugate keeps the Durfee square and swaps n with m
+        tr = tm_triple(v)
+        assert trip_number(d) == trip_number(v) == tr.t
+        assert tm_triple(d) == TmTriple(tr.t, tr.m, tr.n)
 
 
 def test_tm_triple_examples():
@@ -239,6 +246,30 @@ def test_triple_round_trip():
     for _ in range(300):
         v = random_normalized_vector(rng)
         assert vector_from_triple(tm_triple(v)) == v
+
+
+def _triple_is_inverted(triple: TmTriple) -> None:
+    v = vector_from_triple(triple)
+    assert v.is_normalized, triple
+    assert trip_number(v) == triple.t, triple
+    assert tm_triple(v) == triple, triple
+
+
+def test_vector_from_triple_is_total():
+    # every valid triple has a vector: no triple reaches an inconsistency
+    count = 0
+    for t in range(2, 6):
+        for n in itertools.product(range(3), repeat=t - 1):
+            for m in itertools.product(range(3), repeat=t - 1):
+                _triple_is_inverted(TmTriple(t, n, m))
+                count += 1
+    assert count == 7380
+    rng = random.Random(29)
+    for _ in range(500):
+        t = rng.randint(2, 12)
+        n = tuple(rng.randint(0, 6) for _ in range(t - 1))
+        m = tuple(rng.randint(0, 6) for _ in range(t - 1))
+        _triple_is_inverted(TmTriple(t, n, m))
 
 
 def test_minimal_word_examples():

@@ -118,15 +118,20 @@ def test_dual_tparams_examples():
 
 
 def test_dual_tparams_k2_formula():
-    rng = random.Random(7)
-    for _ in range(100):
-        r1 = rng.randint(2, 9)
-        r2 = rng.randint(r1 + 1, 12)
-        s1 = rng.randint(1, 8)
-        s2 = rng.randint(2, 8)
-        dual = dual_tparams(TParams(((r1, s1), (r2, s2))))
-        expected = TParams(((s2, r2 - r1), (s1 + s2, r1))).canonical()
-        assert dual == expected
+    # the paper's run-length formula against the conjugate route, on every
+    # canonical parameter list with 1 <= s <= 8, s_k >= 2 and either k <= 2,
+    # r <= 12 or k = 3, r <= 9
+    for k, r_max in ((1, 12), (2, 12), (3, 9)):
+        for rs in itertools.combinations(range(2, r_max + 1), k):
+            for ss in itertools.product(range(1, 9), repeat=k):
+                if ss[-1] < 2:
+                    continue
+                r = (0,) + rs  # r_0 = 0
+                expected = tuple(
+                    (sum(ss[k - j:]), r[k - j + 1] - r[k - j])  # (rbar_j, sbar_j)
+                    for j in range(1, k + 1)
+                )
+                assert dual_tparams(TParams(tuple(zip(rs, ss)))).pairs == expected
 
 
 def test_dual_tparams_involution_and_vector_compatibility():
@@ -182,7 +187,7 @@ def test_torus_simplify_all_is_one_rewrite_on_a_grid():
     # every canonical TParams with k <= 3, 2 <= r <= 9 and 1 <= s <= 8
     one_pair = 0
     for k in (1, 2, 3):
-        for rs in itertools.combinations(range(2, 10), k):
+        for rs in itertools.combinations(range(2, 13), k):
             for ss in itertools.product(range(1, 9), repeat=k):
                 tp = TParams(tuple(zip(rs, ss)))
                 reduced = torus_simplify_all(tp)
