@@ -10,7 +10,7 @@ Conventions used throughout the package:
   ever possible.
 - Words act on positions left to right.  A Permutation records where each
   strand ends up: image[a-1] is the end position of the strand that starts
-  at position a.  Under this convention perm(a * b) = perm(a).then(perm(b)).
+  at position a.  Under this convention perm(a * b)(x) = perm(b)(perm(a)(x)).
 - A permutation braid is a positive braid in which any two strands cross at
   most once; it is determined by its permutation, and its positive words are
   exactly the reduced words.  permutation_braid_word picks a deterministic
@@ -53,19 +53,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {self.image!r}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def simple(cls, i: int, n: int) -> "Permutation":
-        """The adjacent transposition (i, i+1), the permutation of sigma_i."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for {n} strands")
-        image = list(range(1, n + 1))
-        image[i - 1], image[i] = image[i], image[i - 1]
-        return cls(tuple(image))
-
-    @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> "Permutation":
         """Trace the strands of a positive word given by its letters."""
         # arrangement[pos-1] = label of the strand currently at position pos
@@ -81,20 +68,9 @@ class Permutation:
     def __call__(self, a: int) -> int:
         return self.image[a - 1]
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """The permutation of 'self followed by other' (braid concatenation)."""
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(other.image[x - 1] for x in self.image))
-
     @cached_property
     def inverse(self) -> "Permutation":
         return Permutation(_inverse(self.image))
-
-    def inversions(self) -> int:
-        img = self.image
-        n = len(img)
-        return sum(1 for a in range(n) for b in range(a + 1, n) if img[a] > img[b])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ The bundled census file lists the simplest hyperbolic knots together with a
 Lorenz vector where one is known (107 of 112 rows) and "?" where the question
 is open.  Reports combine the invariant table with the torus-detection
 verdict, which is decided from that same invariant report, so each row
-normalizes its vector, counts t and walks its permutation once.  Batch
+normalizes its vector, counts t and counts its components once.  Batch
 reports come back in input order, and a failing entry never aborts the rest
 of the batch.
 """

@@ -136,7 +136,7 @@ def _cut(n: int, letters: tuple[int, ...]) -> Iterator[Image]:
 
 
 def right_complement(p: Permutation) -> Permutation:
-    """The permutation c with p.then(c) = Delta and additive lengths."""
+    """The permutation c with p followed by c equal to Delta, lengths adding."""
     return Permutation(tuple(p.size + 1 - x for x in p.inverse.image))
 
 
@@ -155,7 +155,7 @@ def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Pe
 
     Returns the new pair, or None when the pair is already left weighted.
     The moved part is c = meet(b, right_complement(a)); the result is
-    (a.then(c), c^{-1}.then(b)) and the second entry may be the identity.
+    (a c, c^{-1} b), read left to right, and the second entry may be the identity.
     """
     slid = _slide(a.image, b.image)
     return None if slid is None else (Permutation(slid[0]), Permutation(slid[1]))

@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, cycle_count
+from .braid import BraidWord, Permutation, cycle_count
 from .errors import UnsupportedInput
 from .laurent import LaurentPoly, normalize_units
 from .lorenz import (
     UNKNOT,
     LorenzVector,
     format_vector,
-    lorenz_permutation,
     normalize,
     trip_number,
 )
@@ -96,6 +95,24 @@ _UNKNOT_REPORT = InvariantReport(
 )
 
 
+def _tbraid_components(nv: LorenzVector) -> int:
+    """
+    mu, the cycle count of the T-braid prod_i [1, r_i]^s_i on d_p strands.
+
+    The T-braid closes to the same link as the Lorenz braid (see tlink).
+    [1, r] takes the strand at position 1 to position r and shifts positions
+    2..r down by one, so [1, r]^s rotates the first r positions left by s mod r.
+    The arrangement a (a[pos-1] = the strand at pos) after all k rotations is
+    the inverse of the braid's permutation, which has the same cycle count,
+    and mu is the cycle count of any braid that closes to the link.
+    """
+    a = list(range(1, nv.dp + 1))
+    for r, s in nv.rle:
+        s %= r
+        a[:r] = a[s:r] + a[:s]
+    return cycle_count(Permutation(tuple(a)))
+
+
 def invariant_report(v: LorenzVector) -> InvariantReport:
     """
     Full invariant report of the normalized input, from closed forms; no word
@@ -103,12 +120,14 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     T-braid has sum s_i (r_i - 1) = S - p crossings, and the dual vector has
     the same total S with p and d_p swapped, so its T-braid has S - d_p.  Every
     milestone word has the same c - n, so the minimal word on t strands has
-    S - p - d_p + t letters.
+    S - p - d_p + t letters.  mu is the cycle count of the T-braid's k
+    rotations of d_p strands, so on a normalized vector only the sum S reads
+    all p entries.
     """
     nv = normalize(v)
     if nv is UNKNOT:
         return _UNKNOT_REPORT
-    mu = cycle_count(lorenz_permutation(nv))
+    mu = _tbraid_components(nv)
     total, p, dp, t = nv.total, nv.p, nv.dp, trip_number(nv)
     cmn = total - p - dp
     crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,

@@ -87,13 +87,13 @@ class LorenzVector:
 
     @cached_property
     def rle(self) -> tuple[tuple[int, int], ...]:
-        """Run-length pairs (r_i, s_i) with r strictly increasing."""
-        pairs: list[tuple[int, int]] = []
-        for x in self.d:
-            if pairs and pairs[-1][0] == x:
-                pairs[-1] = (x, pairs[-1][1] + 1)
-            else:
-                pairs.append((x, 1))
+        """Run-length pairs (r_i, s_i) with r strictly increasing; d is sorted,
+        so each run ends where bisection finds it, in O(k log p)."""
+        d, pairs, i = self.d, [], 0
+        while i < len(d):
+            j = bisect_right(d, d[i], i)
+            pairs.append((d[i], j - i))
+            i = j
         return tuple(pairs)
 
     @property

@@ -161,6 +161,32 @@ def burau_oracle(w: BraidWord) -> LaurentPoly:
 
 
 # Permutation and normal-form facts that only the tests ask for.
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def simple(i: int, n: int) -> Permutation:
+    """The adjacent transposition (i, i+1), the permutation of sigma_i."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for {n} strands")
+    image = list(range(1, n + 1))
+    image[i - 1], image[i] = image[i], image[i - 1]
+    return Permutation(tuple(image))
+
+
+def then(p: Permutation, q: Permutation) -> Permutation:
+    """The permutation of 'p followed by q' (braid concatenation)."""
+    if p.size != q.size:
+        raise ValueError("size mismatch")
+    return Permutation(tuple([q.image[x - 1] for x in p.image]))
+
+
+def inversions(p: Permutation) -> int:
+    img = p.image
+    n = len(img)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if img[a] > img[b])
+
+
 def longest(n: int) -> Permutation:
     """The order-reversing permutation, i.e. the half twist Delta."""
     return Permutation(tuple(range(n, 0, -1)))
@@ -173,12 +199,12 @@ def descents(p: Permutation) -> frozenset[int]:
 
 
 def is_identity(p: Permutation) -> bool:
-    return p == Permutation.identity(p.size)
+    return p == identity(p.size)
 
 
 def letter_count(nf: NormalForm) -> int:
     """Letters of the braid, the sum of its factors' inversion counts."""
-    return sum(f.inversions() for f in nf.factors)
+    return sum(inversions(f) for f in nf.factors)
 
 
 # Garside oracles, kept for the tests of lorenzlinks.garside and the torus fold.
@@ -211,6 +237,17 @@ def torus_simplify_loop(t: TParams) -> TParams:
             break
         current = simplified
     return current
+
+
+# Reference for LorenzVector.rle: one step per entry, not one per run.
+def rle_loop(d: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    pairs: list[tuple[int, int]] = []
+    for x in d:
+        if pairs and pairs[-1][0] == x:
+            pairs[-1] = (x, pairs[-1][1] + 1)
+        else:
+            pairs.append((x, 1))
+    return tuple(pairs)
 
 
 # Reference for lorenz.normalize: the single destabilization moves, one at a time.

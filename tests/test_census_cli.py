@@ -313,15 +313,19 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_census_report_computes_each_rows_facts_once(monkeypatch):
+    # mu comes from one count of the T-braid's rotations; the Lorenz
+    # permutation on p + d_p strands is never walked.
     reports = _count_calls(monkeypatch, invariants.invariant_report)
+    counts = _count_calls(monkeypatch, invariants._tbraid_components)
     walks = _count_calls(monkeypatch, lorenz.lorenz_permutation)
     known = [e for e in load_census() if e.known]
     assert len(known) == 107
     for entry in known:
         reports.clear()
+        counts.clear()
         walks.clear()
         census_mod.report(entry.vector, entry.name)
-        assert (len(reports), len(walks)) == (1, 1), entry.name
+        assert (len(reports), len(counts), len(walks)) == (1, 1, 0), entry.name
 
 
 def test_cli_census_report_survives_a_failed_row(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from lorenzlinks import (
     format_word,
     invariant_report,
     load_census,
+    lorenz_permutation,
     milestone_words,
     minimal_braid_word,
     morton_alexander,
@@ -27,7 +28,7 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks.errors import UnsupportedInput
-from lorenzlinks.invariants import _determinant, _digits
+from lorenzlinks.invariants import _determinant, _digits, _tbraid_components
 from lorenzlinks.laurent import LaurentPoly
 
 
@@ -74,6 +75,21 @@ def test_gcd_component_law():
         for s in range(r, 10):
             rep = invariant_report(parse_vector(f"{r}^{s}"))
             assert rep.components == math.gcd(r, s)
+
+
+def test_components_from_tbraid_rotations_match_the_lorenz_permutation():
+    # The oracle walks the Lorenz permutation on p + d_p strands; the last
+    # 200 vectors have the shapes of the invariants benchmark (p up to 2,000).
+    rng = random.Random(19)
+    vectors = [e.vector for e in load_census() if e.known]
+    assert len(vectors) == 107
+    vectors += [random_normalized_vector(rng, max_p=60, max_r=20) for _ in range(20000)]
+    vectors += [random_normalized_vector(rng, max_p=2000, max_r=60) for _ in range(200)]
+    for v in vectors:
+        nv = normalize(v)
+        mu = cycle_count(lorenz_permutation(nv))
+        assert _tbraid_components(nv) == mu, v
+        assert invariant_report(v).components == mu, v
 
 
 def test_genus_consistent_across_milestones():

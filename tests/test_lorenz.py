@@ -4,8 +4,9 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import normalize_steps, random_normalized_vector
+from helpers import normalize_steps, random_normalized_vector, rle_loop
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
@@ -24,8 +25,10 @@ from lorenzlinks import (
     parse_vector,
     permutation_of_word,
     tm_triple,
+    tparams_to_vector,
     trip_number,
     vector_from_triple,
+    vector_to_tparams,
     words_equal,
 )
 from lorenzlinks.braid import BraidWord
@@ -45,6 +48,46 @@ def test_parse_and_format():
     assert parse_vector("2,2,3").d == (2, 2, 3)
     assert parse_vector("3").d == (3,)
     assert not parse_vector("3").is_normalized
+
+
+def test_rle_matches_the_entry_loop():
+    rng = random.Random(23)
+    vectors = [e.vector for e in load_census() if e.known]
+    vectors += [random_normalized_vector(rng, max_p=60, max_r=20) for _ in range(2000)]
+    vectors += [random_normalized_vector(rng, max_p=2000, max_r=60) for _ in range(50)]
+    # k = p: every entry differs, one run per entry
+    vectors += [LorenzVector(tuple(range(1, p + 1))) for p in range(1, 40)]
+    vectors += [LorenzVector(tuple(sorted(rng.sample(range(1, 500), p)))) for p in range(1, 60)]
+    vectors += [LorenzVector((7,) * p) for p in (1, 2, 1000)]
+    for v in vectors:
+        assert v.rle == rle_loop(v.d), v
+
+
+_RUNS = st.lists(st.tuples(st.integers(1, 60), st.integers(1, 30)), min_size=1, max_size=12,
+                 unique_by=lambda run: run[0]).map(sorted)
+
+
+def _expand(runs) -> tuple[int, ...]:
+    return tuple([r for r, s in runs for _ in range(s)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RUNS)
+def test_run_lengths_round_trip(runs):
+    v = LorenzVector(_expand(runs))
+    assert v.rle == tuple(runs)
+    assert _expand(v.rle) == v.d
+    assert parse_vector(format_vector(v)) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RUNS.filter(lambda runs: runs[0][0] >= 2 and runs[-1][1] >= 2))
+def test_tparams_round_trip_on_normalized_run_lengths(runs):
+    v = LorenzVector(_expand(runs))
+    assert v.is_normalized
+    tp = vector_to_tparams(v)
+    assert tp.pairs == tuple(runs)
+    assert tparams_to_vector(tp) == v
 
 
 def test_parse_sorts_with_warning():
