@@ -3,9 +3,12 @@ Command-line interface.
 
 Exit codes: 0 on success (verdicts such as NotTorus or "not equal" are
 output, not errors), 1 on domain errors (valid syntax, unusable value), 2 on
-usage or parse errors, a census file that cannot be read among them.  --json
-switches every subcommand to a machine readable payload; --quiet suppresses
-warnings and secondary output lines.
+usage or parse errors, a census file that cannot be read among them.
+
+Each subcommand computes and returns (lines, details, payload); `main` is the
+one place that prints.  --json prints the payload as one JSON document;
+otherwise the lines are printed, then the details unless --quiet is given.
+--quiet also silences warnings and the census rows' warning notes.
 """
 
 from __future__ import annotations
@@ -42,18 +45,11 @@ from .tlink import (
 )
 from .torus import is_torus
 
-
-def _emit(args, primary: str, details: list[str] | None = None, *, payload: dict):
-    if args.json:
-        print(json.dumps(payload))
-        return
-    print(primary)
-    if details and not args.quiet:
-        for line in details:
-            print(line)
+# the lines always printed, the detail lines --quiet hides, the --json payload
+_Output = tuple[list[str], list[str], object]
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Output:
     v = parse_vector(args.vector)
     details = [
         f"p={v.p} d_p={v.dp} strands={v.strands} crossings={v.total}",
@@ -73,78 +69,59 @@ def _cmd_validate(args) -> int:
         details.append(
             f"trip={payload['trip']} components={payload['components']}"
         )
-    _emit(args, format_vector(v), details, payload=payload)
-    return 0
+    return [format_vector(v)], details, payload
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> _Output:
     result = normalize(parse_vector(args.vector))
     if result is UNKNOT:
-        _emit(args, "Unknot", payload={"vector": None, "unknot": True})
-    else:
-        _emit(
-            args,
-            format_vector(result),
-            payload={"vector": format_vector(result), "unknot": False},
-        )
-    return 0
+        return ["Unknot"], [], {"vector": None, "unknot": True}
+    text = format_vector(result)
+    return [text], [], {"vector": text, "unknot": False}
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> _Output:
     text = args.value.strip()
     if text.startswith("("):
-        dual = dual_tparams(parse_tparams(text))
-        _emit(args, format_tparams(dual), payload={"tparams": format_tparams(dual)})
-    else:
-        dual = dual_vector(parse_vector(text))
-        _emit(args, format_vector(dual), payload={"vector": format_vector(dual)})
-    return 0
+        dual = format_tparams(dual_tparams(parse_tparams(text)))
+        return [dual], [], {"tparams": dual}
+    dual = format_vector(dual_vector(parse_vector(text)))
+    return [dual], [], {"vector": dual}
 
 
-def _cmd_tbraid(args) -> int:
+def _cmd_tbraid(args) -> _Output:
     word = tbraid_word(vector_to_tparams(parse_vector(args.vector)))
-    _emit(
-        args,
-        format_word(word),
-        payload={"word": format_word(word), "strands": word.strands, "length": len(word)},
-    )
-    return 0
+    text = format_word(word)
+    return [text], [], {"word": text, "strands": word.strands, "length": len(word)}
 
 
-def _cmd_minimal(args) -> int:
+def _cmd_minimal(args) -> _Output:
     triple = tm_triple(parse_vector(args.vector))
     word = minimal_word_from_triple(triple)
-    _emit(
-        args,
-        format_word(word),
-        [f"t={triple.t} n={list(triple.n)} m={list(triple.m)}"],
-        payload={
-            "word": format_word(word),
-            "strands": word.strands,
-            "length": len(word),
-            "t": triple.t,
-            "n": list(triple.n),
-            "m": list(triple.m),
-        },
-    )
-    return 0
+    payload = {
+        "word": format_word(word),
+        "strands": word.strands,
+        "length": len(word),
+        "t": triple.t,
+        "n": list(triple.n),
+        "m": list(triple.m),
+    }
+    triple_line = f"t={triple.t} n={payload['n']} m={payload['m']}"
+    return [payload["word"]], [triple_line], payload
 
 
-def _cmd_trip(args) -> int:
+def _cmd_trip(args) -> _Output:
     t = trip_number(parse_vector(args.vector))
-    _emit(args, str(t), payload={"trip": t})
-    return 0
+    return [str(t)], [], {"trip": t}
 
 
-def _cmd_braid_index(args) -> int:
+def _cmd_braid_index(args) -> _Output:
     t = braid_index(parse_tparams(args.tparams))
-    _emit(args, str(t), payload={"braid_index": t})
-    return 0
+    return [str(t)], [], {"braid_index": t}
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> _Output:
     rep = invariant_report(parse_vector(args.vector))
-    d = rep.to_dict()
     details = [
         f"genus={rep.genus} unknotting={rep.unknotting_number} c-n={rep.c_minus_n}",
         f"crossings={rep.crossings} braid_indices={rep.braid_indices}",
@@ -156,65 +133,49 @@ def _cmd_invariants(args) -> int:
         if rep.is_unknot
         else f"{format_vector(rep.vector)}: mu={rep.components} g={rep.genus}"
     )
-    _emit(args, primary, details, payload=d)
-    return 0
+    return [primary], details, rep.to_dict()
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args) -> _Output:
     if args.morton:
         m, p, q = args.morton
         poly = morton_alexander(m, p, q)
     else:
         v = normalize(parse_vector(args.burau))
         poly = burau_alexander(BraidWord(1) if v is UNKNOT else minimal_braid_word(v))
-    _emit(
-        args,
-        str(poly),
-        payload={"alexander": str(poly), "terms": [list(t) for t in poly.terms]},
-    )
-    return 0
+    payload = {"alexander": str(poly), "terms": [list(t) for t in poly.terms]}
+    return [str(poly)], [], payload
 
 
-def _cmd_is_torus(args) -> int:
+def _cmd_is_torus(args) -> _Output:
     verdict = is_torus(parse_vector(args.vector))
-    _emit(
-        args,
-        str(verdict),
-        payload={"verdict": str(verdict), "torus": verdict.is_torus,
-                 "decided_by": verdict.decided_by},
-    )
-    return 0
+    payload = {"verdict": str(verdict), "torus": verdict.is_torus,
+               "decided_by": verdict.decided_by}
+    return [str(verdict)], [], payload
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> _Output:
     nf = normal_form(parse_word(args.word))
     factor_words = [list(permutation_braid_word(f).letters) for f in nf.factors]
     human = " | ".join(" ".join(str(i) for i in fw) for fw in factor_words)
-    _emit(
-        args,
-        f"n={nf.strands} factors={len(nf.factors)}: {human}" if factor_words
-        else f"n={nf.strands} factors=0 (identity)",
-        payload={"strands": nf.strands, "factors": factor_words},
-    )
-    return 0
+    line = (f"n={nf.strands} factors={len(nf.factors)}: {human}" if factor_words
+            else f"n={nf.strands} factors=0 (identity)")
+    return [line], [], {"strands": nf.strands, "factors": factor_words}
 
 
-def _cmd_word_eq(args) -> int:
+def _cmd_word_eq(args) -> _Output:
     a, b = parse_word(args.word_a), parse_word(args.word_b)
     equal = words_equal(a, b)
-    _emit(args, "equal" if equal else "not equal", payload={"equal": equal})
-    return 0
+    return ["equal" if equal else "not equal"], [], {"equal": equal}
 
 
-def _cmd_census_report(args) -> int:
+def _cmd_census_report(args) -> _Output:
     entries = census_mod.load_census(args.file)
     reports = census_mod.report_all(entries)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports]))
-        return 0
+    lines = []
     for r in reports:
         if r.error and r.vector is None:
-            print(f"{r.name:8s} ?")
+            lines.append(f"{r.name:8s} ?")
             continue
         inv = r.invariants  # None when the row failed
         line = f"{r.name:8s} {format_vector(r.vector):18s}" + (
@@ -224,8 +185,8 @@ def _cmd_census_report(args) -> int:
         )
         if r.warnings and not args.quiet:
             line += f"  [{'; '.join(r.warnings)}]"
-        print(line)
-    return 0
+        lines.append(line)
+    return lines, [], [r.to_dict() for r in reports]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +242,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.quiet:
             warnings.simplefilter("ignore")
         try:
-            return args.func(args)
+            lines, details, payload = args.func(args)
+            if args.json:
+                print(json.dumps(payload))
+            else:
+                for line in lines + ([] if args.quiet else details):
+                    print(line)
+            return 0
         except (ParseError, OSError) as exc:  # OSError: the census file cannot be read
             print(f"error: {exc}", file=sys.stderr)
             return 2

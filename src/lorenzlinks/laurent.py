@@ -94,9 +94,9 @@ class LaurentPoly:
         shift = self.min_degree - other.min_degree
         num = self._dense()
         den = other._dense()
-        quot = [0] * (len(num) - len(den) + 1)
         if len(num) < len(den):
             raise ArithmeticError("inexact polynomial division")
+        quot = [0] * (len(num) - len(den) + 1)
         for i in range(len(quot) - 1, -1, -1):
             lead = num[i + len(den) - 1]
             if lead % den[-1]:

@@ -237,7 +237,8 @@ class TmTriple:
     """Counts of LL strands (n) and RR strands (m) by displacement: the Durfee
     decomposition of the vector read as a partition, with t the side of the
     Durfee square, n_i its rows of length i+1 below the square and m_i its
-    columns of height i+1 to the right of it."""
+    columns of height i+1 to the right of it, read from the steps between
+    the t longest rows."""
 
     t: int
     n: tuple[int, ...]
@@ -252,20 +253,21 @@ class TmTriple:
             raise ValueError("counts must be nonnegative")
 
 
-def _ll_counts(d: tuple[int, ...], t: int) -> tuple[int, ...]:
-    """Counts of 2, ..., t among d[:len(d) - t], the rows below the Durfee square."""
-    ll = d[:len(d) - t]
-    return tuple([bisect_right(ll, x) - bisect_left(ll, x) for x in range(2, t + 1)])
-
-
 def tm_triple(v: LorenzVector) -> TmTriple:
     """
-    The triple (t, n, m): n_i counts LL strands with d_j = i+1, and m_i counts
-    RR strands via the dual vector, whose LL strands they become.  The
-    conjugate has the same Durfee square, so its trip number is t too.
+    The triple (t, n, m): n_i counts LL strands with d_j = i+1, the rows of
+    length i+1 below the Durfee square.  m_i counts RR strands, the columns
+    of height i+1 right of the square; column x has height i+1 exactly when
+    d_(p-i-1) < x <= d_(p-i), so m_i = d_(p-i) - d_(p-i-1) for i <= t-2, and
+    m_(t-1) = d_(p-t+1) - t, the columns beyond t.  These are the steps
+    between the t longest rows, which `vector_from_triple` sums back up.
     """
     t = trip_number(v)  # requires v normalized
-    return TmTriple(t, _ll_counts(v.d, t), _ll_counts(dual_vector(v).d, t))
+    d, p = v.d, v.p
+    ll = d[:p - t]  # the rows below the Durfee square
+    n = [bisect_right(ll, x) - bisect_left(ll, x) for x in range(2, t + 1)]
+    m = [d[p - i - 1] - d[p - i - 2] for i in range(1, t - 1)] + [d[p - t] - t]
+    return TmTriple(t, tuple(n), tuple(m))
 
 
 def vector_from_triple(triple: TmTriple) -> LorenzVector:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator
+from typing import Callable, Iterator
+
+import pytest
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
                          TParams, normalize_units, torus_simplify)
@@ -271,3 +273,11 @@ def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
         if not d:
             return
         yield LorenzVector(tuple(d))
+
+
+def assert_raises(build: Callable[[], object], exc_type: type, message: str) -> None:
+    """build() raises exactly exc_type, not a subclass, with exactly this message."""
+    with pytest.raises(exc_type) as info:
+        build()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import identity, inversions, longest, simple, then
+from helpers import assert_raises, identity, inversions, longest, simple, then
 from lorenzlinks import (
     BraidWord,
     ParseError,
@@ -173,3 +173,15 @@ def test_word_text_round_trip():
         parse_word("1 2 1")
     with pytest.raises(ParseError):
         parse_word("n=3 7")
+
+
+@pytest.mark.parametrize("build, exc_type, message", [
+    pytest.param(lambda: Permutation((1, 1)), ValueError,
+                 "not a permutation of 1..2: (1, 1)", id="repeated-image"),
+    pytest.param(lambda: BraidWord(0), ValueError,
+                 "a braid needs at least one strand", id="no-strands"),
+    pytest.param(lambda: parse_word("n=3 1 x"), ParseError,
+                 "malformed braid word 'n=3 1 x'", id="bad-letter"),
+])
+def test_validation_errors(build, exc_type, message):
+    assert_raises(build, exc_type, message)

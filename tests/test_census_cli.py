@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorenzlinks import (
     burau_alexander,
@@ -267,6 +270,16 @@ def test_cli_census_report_explicit_file(tmp_path, capsys):
     assert reports[1]["error"] == "vector unknown"
 
 
+def test_cli_census_report_of_an_empty_file(tmp_path, capsys):
+    # no rows: no output at all in text mode, not a blank line
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert cli.main(["census", "report", str(empty)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(["--json", "census", "report", str(empty)]) == 0
+    assert capsys.readouterr() == ("[]\n", "")
+
+
 def test_cli_quiet_suppresses_details(capsys):
     assert cli.main(["--quiet", "invariants", "2^3"]) == 0
     out = capsys.readouterr().out
@@ -424,3 +437,65 @@ def test_cli_census_text(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 112
     assert any(line.startswith("k7_119") and line.rstrip().endswith("?") for line in out)
+
+
+# Small argv for every subcommand but census: a stray character now and then
+# makes a parse error, and no exponent is large (parse_vector expands eagerly).
+_STRAY = st.sampled_from([""] * 12 + ["x", ",", "^", "-", "(", " ", "0"])
+
+
+def _stray(text: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(text, _STRAY, st.booleans()).map(
+        lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
+
+
+_VECTOR = _stray(st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 6)).map(
+        lambda rs: str(rs[0]) if rs[1] == 1 else f"{rs[0]}^{rs[1]}"),
+    min_size=1, max_size=4).map(",".join))
+_TPARAMS = _stray(st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 6)).map(lambda rs: f"({rs[0]},{rs[1]})"),
+    min_size=1, max_size=4).map("".join))
+_WORD = _stray(st.tuples(
+    st.integers(1, 5), st.lists(st.integers(1, 4), max_size=12)).map(
+        lambda nw: " ".join([f"n={nw[0]}"] + [str(i) for i in nw[1]])))
+_MORTON = st.lists(st.integers(-2, 9), min_size=3, max_size=3).map(
+    lambda mpq: ["--morton"] + [str(x) for x in mpq])
+_ARGV = st.one_of(
+    *[_VECTOR.map(lambda v, c=c: [c, v]) for c in (
+        "validate", "normalize", "dual", "tbraid", "minimal", "trip", "invariants",
+        "is-torus")],
+    _TPARAMS.map(lambda t: ["dual", t]),
+    _TPARAMS.map(lambda t: ["braid-index", t]),
+    _MORTON.map(lambda m: ["alexander"] + m),
+    _VECTOR.map(lambda v: ["alexander", "--burau", v]),
+    _WORD.map(lambda w: ["normal-form", w]),
+    st.tuples(_WORD, _WORD).map(lambda ab: ["word-eq", *ab]),
+)
+_FLAGS = st.sampled_from([[], ["--json"], ["--quiet"], ["--json", "--quiet"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FLAGS, _ARGV)
+def test_cli_output_contract(flags, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(flags + argv)
+        except SystemExit as exc:  # argparse's usage error, and only that
+            assert exc.code == 2
+            assert out.getvalue() == ""
+            assert ": error: " in err.getvalue().splitlines()[-1]
+            return
+    out, lines = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    warned = [line for line in lines if line.startswith("warning: ")]
+    assert not (warned and "--quiet" in flags)
+    if code == 0:
+        assert lines == warned
+        if "--json" in flags:
+            assert out.endswith("\n") and out.count("\n") == 1
+            json.loads(out)
+    else:
+        assert out == ""
+        assert lines[:-1] == warned and lines[-1].startswith("error: ")

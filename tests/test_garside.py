@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from helpers import (central_power, descents, fitted_exponent, inversions, is_identity,
-                     is_left_weighted, letter_count, longest, random_rewrite, rewrite_classes,
-                     simple, then)
+from helpers import (assert_raises, central_power, descents, fitted_exponent, inversions,
+                     is_identity, is_left_weighted, letter_count, longest, random_rewrite,
+                     rewrite_classes, simple, then)
 from lorenzlinks import (BraidWord, bracket, minimal_braid_word, normal_form, parse_vector,
                          periodic_word, power, words_equal)
 from lorenzlinks import garside
@@ -250,3 +250,15 @@ def _timed(fn):
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: meet(Permutation((1, 2)), Permutation((1, 2, 3))),
+                 "size mismatch", id="meet-sizes"),
+    pytest.param(lambda: multiply(normal_form(BraidWord(3)), normal_form(BraidWord(4))),
+                 "strand counts differ: 3 != 4", id="multiply-strands"),
+    pytest.param(lambda: nf_power(normal_form(BraidWord(3, (1,))), -1),
+                 "negative powers of positive braids do not exist", id="negative-power"),
+])
+def test_validation_errors(build, message):
+    assert_raises(build, ValueError, message)

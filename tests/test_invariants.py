@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import burau_oracle, fitted_exponent, random_normalized_vector
+from helpers import assert_raises, burau_oracle, fitted_exponent, random_normalized_vector
 from lorenzlinks import (
     BraidWord,
     burau_alexander,
@@ -445,3 +445,12 @@ def test_c4g_bound_on_census():
         assert c_t == 2 * rep.genus + rep.components + n_t - 2
         assert c_t <= rep.t_braid_crossing_bound
         assert rep.bound_holds
+
+
+@pytest.mark.parametrize("m, p, q, message", [
+    pytest.param(0, 3, 2, "need at least one full twist (m >= 1)", id="no-twist"),
+    pytest.param(1, 1, 2, "torus parameters must be at least 2", id="p-below-2"),
+    pytest.param(1, 3, 1, "torus parameters must be at least 2", id="q-below-2"),
+])
+def test_morton_alexander_validation_errors(m, p, q, message):
+    assert_raises(lambda: morton_alexander(m, p, q), ValueError, message)

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import assert_raises
 from lorenzlinks.laurent import (
     LaurentPoly,
     normalize_units,
@@ -53,3 +54,24 @@ def test_span_and_str():
     assert str(c) == "1 - t + t^2"
     assert str(LaurentPoly.from_dict({-1: 2, 3: -1})) == "2*t^-1 - t^3"
     assert str(LaurentPoly.zero()) == "0"
+
+
+_ONE, _T, _ZERO = LaurentPoly.one(), LaurentPoly.t_power(1), LaurentPoly.zero()
+
+
+@pytest.mark.parametrize("build, exc_type, message", [
+    pytest.param(lambda: _ZERO.min_degree, ValueError,
+                 "the zero polynomial has no degree", id="min-degree-of-zero"),
+    pytest.param(lambda: _ZERO.max_degree, ValueError,
+                 "the zero polynomial has no degree", id="max-degree-of-zero"),
+    pytest.param(lambda: _ONE.exact_div(_ZERO), ZeroDivisionError,
+                 "division by the zero polynomial", id="divide-by-zero"),
+    pytest.param(lambda: _ONE.exact_div(_T * _T + _ONE), ArithmeticError,
+                 "inexact polynomial division", id="divisor-longer"),
+    pytest.param(lambda: (_T + _ONE).exact_div(_T + _T + _ONE), ArithmeticError,
+                 "inexact polynomial division", id="leading-coefficient"),
+    pytest.param(lambda: (_T * _T + _ONE).exact_div(_T + _ONE), ArithmeticError,
+                 "inexact polynomial division", id="remainder"),
+])
+def test_validation_errors(build, exc_type, message):
+    assert_raises(build, exc_type, message)

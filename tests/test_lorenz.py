@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import normalize_steps, random_normalized_vector, rle_loop
+from helpers import assert_raises, normalize_steps, random_normalized_vector, rle_loop
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
@@ -395,3 +395,17 @@ def test_minimal_word_delta_duality():
             words_equal(BraidWord(flipped.strands, letters[i:] + letters[:i]), target)
             for i in range(max(1, len(letters)))
         )
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: LorenzVector((0, 2)),
+                 "displacements must be positive: (0, 2)", id="nonpositive"),
+    pytest.param(lambda: TmTriple(1, (), ()),
+                 "trip number must be at least 2", id="trip-below-2"),
+    pytest.param(lambda: TmTriple(3, (0,), (0, 0)),
+                 "n and m must have length t-1", id="short-n"),
+    pytest.param(lambda: TmTriple(2, (-1,), (0,)),
+                 "counts must be nonnegative", id="negative-count"),
+])
+def test_validation_errors(build, message):
+    assert_raises(build, ValueError, message)

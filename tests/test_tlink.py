@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import (braid_index_k1, braid_index_k2, random_normalized_vector,
+from helpers import (assert_raises, braid_index_k1, braid_index_k2, random_normalized_vector,
                      torus_simplify_loop)
 from lorenzlinks import (
     ParseError,
@@ -211,3 +211,14 @@ def test_torus_simplify_preserves_closure_invariants():
         w = tparams_to_vector(simplified)
         a, b = invariant_report(v), invariant_report(w)
         assert (a.components, a.genus, a.c_minus_n) == (b.components, b.genus, b.c_minus_n)
+
+
+@pytest.mark.parametrize("build, exc_type, message", [
+    pytest.param(lambda: TParams(()), ValueError, "empty T-parameters", id="empty"),
+    pytest.param(lambda: TParams(((2, 0),)), ValueError,
+                 "s must be at least 1: ((2, 0),)", id="zero-s"),
+    pytest.param(lambda: parse_tparams("(2,0)"), ParseError,
+                 "s must be at least 1: ((2, 0),)", id="parse-zero-s"),
+])
+def test_validation_errors(build, exc_type, message):
+    assert_raises(build, exc_type, message)
