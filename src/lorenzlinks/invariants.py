@@ -121,8 +121,8 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     the same total S with p and d_p swapped, so its T-braid has S - d_p.  Every
     milestone word has the same c - n, so the minimal word on t strands has
     S - p - d_p + t letters.  mu is the cycle count of the T-braid's k
-    rotations of d_p strands, so on a normalized vector only the sum S reads
-    all p entries.
+    rotations of d_p strands, and S, p, d_p and t are read from the k runs,
+    so no entry is expanded.
     """
     nv = normalize(v)
     if nv is UNKNOT:

@@ -5,7 +5,8 @@ A Lorenz braid on p + d_p strands is determined by the displacements of its p
 overcrossing strands: strand i starts at position i and ends at i + d_i, and
 the undercrossing strands fill the remaining positions in increasing order.
 The nondecreasing vector <d_1, ..., d_p> therefore encodes the whole braid.
-Run-length form <r_1^s_1, ..., r_k^s_k> groups parallel strands.
+A LorenzVector stores its run-length form <r_1^s_1, ..., r_k^s_k>, the pairs
+(r_i, s_i) of tlink.TParams; only builders of size-p words expand it.
 
 A vector is *normalized* when p >= 2, d_1 >= 2 and d_{p-1} = d_p; every other
 vector destabilizes to a normalized one or to the unknot, one strand at a
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from itertools import chain, repeat
+from typing import Iterable, Union
 
 from .braid import (
     BraidWord,
@@ -52,29 +52,46 @@ class Unknot:
 UNKNOT = Unknot()
 
 
+def _merge_runs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Merge adjacent pairs with equal r (their s values add)."""
+    merged: list[tuple[int, int]] = []
+    for r, s in pairs:
+        if merged and merged[-1][0] == r:
+            merged[-1] = (r, merged[-1][1] + s)
+        else:
+            merged.append((r, s))
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class LorenzVector:
-    """Nondecreasing positive displacements <d_1, ..., d_p>."""
+    """Nondecreasing positive displacements <d_1, ..., d_p>, held as their
+    runs (r_i, s_i): r_i repeated s_i times, r strictly increasing."""
 
-    d: tuple[int, ...]
+    rle: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.d:
+        if not self.rle:
             raise ValueError("empty displacement vector")
-        if min(self.d) < 1:
-            raise ValueError(f"displacements must be positive: {self.d}")
-        if list(self.d) != sorted(self.d):
-            raise ValueError(f"displacements must be nondecreasing: {self.d}")
+        if min(min(run) for run in self.rle) < 1:
+            raise ValueError(f"displacements and multiplicities must be positive: {self.rle}")
+        if any(a >= b for (a, _), (b, _) in zip(self.rle, self.rle[1:])):
+            raise ValueError(f"run displacements must strictly increase: {self.rle}")
+
+    @property
+    def d(self) -> tuple[int, ...]:
+        """The p entries, an O(p) expansion for the builders of size-p objects."""
+        return tuple(chain.from_iterable(repeat(r, s) for r, s in self.rle))
 
     @property
     def p(self) -> int:
         """Number of overcrossing strands."""
-        return len(self.d)
+        return sum(s for _, s in self.rle)
 
     @property
     def dp(self) -> int:
         """Largest displacement, the number of undercrossing strands."""
-        return self.d[-1]
+        return self.rle[-1][0]
 
     @property
     def strands(self) -> int:
@@ -83,22 +100,12 @@ class LorenzVector:
     @property
     def total(self) -> int:
         """S, the crossing number of the Lorenz braid."""
-        return sum(self.d)
-
-    @cached_property
-    def rle(self) -> tuple[tuple[int, int], ...]:
-        """Run-length pairs (r_i, s_i) with r strictly increasing; d is sorted,
-        so each run ends where bisection finds it, in O(k log p)."""
-        d, pairs, i = self.d, [], 0
-        while i < len(d):
-            j = bisect_right(d, d[i], i)
-            pairs.append((d[i], j - i))
-            i = j
-        return tuple(pairs)
+        return sum(r * s for r, s in self.rle)
 
     @property
     def is_normalized(self) -> bool:
-        return self.p >= 2 and self.d[0] >= 2 and self.d[-2] == self.d[-1]
+        """d_1 >= 2 and d_(p-1) = d_p, which also gives p >= 2."""
+        return self.rle[0][0] >= 2 and self.rle[-1][1] >= 2
 
     def __str__(self) -> str:
         return format_vector(self)
@@ -120,12 +127,13 @@ def parse_vector(text: str) -> LorenzVector:
     Parse "2^4,3^2,6,8^2" or an explicit list "2,2,3".
 
     Terms are "r" or "r^s"; the result is sorted nondecreasing, with a
-    VectorOrderWarning when sorting changed the written order.
+    VectorOrderWarning when sorting changed the written order.  Each term is
+    a run, and runs of equal r merge; the cost is in terms, not entries.
     """
     body = text.strip().strip("<>").strip()
     if not body:
         raise ParseError("empty vector")
-    entries: list[int] = []
+    terms: list[tuple[int, int]] = []
     for term in body.split(","):
         term = term.strip()
         m = _TERM.match(term)
@@ -137,14 +145,13 @@ def parse_vector(text: str) -> LorenzVector:
             raise ParseError(f"nonpositive displacement in {text!r}")
         if s < 1:
             raise ParseError(f"nonpositive multiplicity in {text!r}")
-        entries.extend([r] * s)
-    ordered = sorted(entries)
-    if ordered != entries:
+        terms.append((r, s))
+    if any(a[0] > b[0] for a, b in zip(terms, terms[1:])):
         warnings.warn(
             f"vector {text!r} is not nondecreasing; sorted", VectorOrderWarning,
             stacklevel=2,
         )
-    return LorenzVector(tuple(ordered))
+    return LorenzVector(_merge_runs(sorted(terms)))
 
 
 def format_vector(v: LorenzVector) -> str:
@@ -154,17 +161,17 @@ def format_vector(v: LorenzVector) -> str:
 
 def normalize(v: LorenzVector) -> MaybeUnknot:
     """
-    Destabilize to a normalized vector, or to the unknot verdict, in one pass:
-    the leading 1s go, then d_p falls to d_{p-1}.  Each move removes one
-    crossing and one strand, so c - n is kept; a decrement never makes a leading 1.
+    Destabilize to a normalized vector, or to the unknot verdict, on the runs:
+    a leading run of 1s goes, then d_p falls to d_{p-1}, so a last run of one
+    entry joins the run before it.  Each move removes one crossing and one
+    strand, so c - n is kept; a decrement never makes a leading 1.
     """
-    d = v.d
-    start = 0
-    while start < len(d) and d[start] == 1:
-        start += 1
-    if len(d) - start <= 1:
+    runs = v.rle[1:] if v.rle[0][0] == 1 else v.rle
+    if sum(s for _, s in runs) <= 1:
         return UNKNOT
-    return v if v.is_normalized else LorenzVector(d[start:-1] + (d[-2],))
+    if runs[-1][1] == 1:
+        runs = _merge_runs(runs[:-1] + ((runs[-2][0], 1),))
+    return v if runs == v.rle else LorenzVector(runs)
 
 
 def lorenz_permutation(v: LorenzVector) -> Permutation:
@@ -185,11 +192,16 @@ def lorenz_braid_word(v: LorenzVector) -> BraidWord:
 
 def trip_number(v: LorenzVector) -> int:
     """t = #{i : i + d_i > p}; the minimal braid index of the closure, and the
-    side of the Durfee square (the largest t with t rows of length >= t)."""
+    side of the Durfee square (the largest t with t rows of length >= t).  From
+    the longest run down, with c rows above it, the first run with c + s >= r
+    ends the square, at side max(r, c)."""
     _require_normalized(v)
-    # the ends i + d_i strictly increase, so those above p form a suffix
-    p, d = v.p, v.d
-    return p - bisect_right(range(p), p, key=lambda j: j + 1 + d[j])
+    c = 0
+    for r, s in reversed(v.rle):
+        if c + s >= r:
+            return max(r, c)
+        c += s
+    return c
 
 
 @dataclass(frozen=True)
@@ -227,9 +239,11 @@ def dual_vector(v: LorenzVector) -> LorenzVector:
     times, with r_0 = 0; the dual swaps p and d_p and represents the same link.
     """
     _require_normalized(v)
-    d = v.d
-    # a list: tuple() of a generator grows by resizes, which raised peak RSS
-    return LorenzVector(tuple([len(d) - bisect_left(d, x) for x in range(d[-1], 0, -1)]))
+    rle, runs, height = v.rle, [], 0
+    for j in range(len(rle) - 1, -1, -1):
+        height += rle[j][1]
+        runs.append((height, rle[j][0] - (rle[j - 1][0] if j else 0)))
+    return LorenzVector(tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -237,8 +251,7 @@ class TmTriple:
     """Counts of LL strands (n) and RR strands (m) by displacement: the Durfee
     decomposition of the vector read as a partition, with t the side of the
     Durfee square, n_i its rows of length i+1 below the square and m_i its
-    columns of height i+1 to the right of it, read from the steps between
-    the t longest rows."""
+    columns of height i+1 to the right of it."""
 
     t: int
     n: tuple[int, ...]
@@ -256,18 +269,19 @@ class TmTriple:
 def tm_triple(v: LorenzVector) -> TmTriple:
     """
     The triple (t, n, m): n_i counts LL strands with d_j = i+1, the rows of
-    length i+1 below the Durfee square.  m_i counts RR strands, the columns
-    of height i+1 right of the square; column x has height i+1 exactly when
-    d_(p-i-1) < x <= d_(p-i), so m_i = d_(p-i) - d_(p-i-1) for i <= t-2, and
-    m_(t-1) = d_(p-t+1) - t, the columns beyond t.  These are the steps
-    between the t longest rows, which `vector_from_triple` sums back up.
+    length i+1 below the Durfee square, and m_i RR strands, the columns of
+    height i+1 right of it: the rows below the square of the dual (k runs).
     """
     t = trip_number(v)  # requires v normalized
-    d, p = v.d, v.p
-    ll = d[:p - t]  # the rows below the Durfee square
-    n = [bisect_right(ll, x) - bisect_left(ll, x) for x in range(2, t + 1)]
-    m = [d[p - i - 1] - d[p - i - 2] for i in range(1, t - 1)] + [d[p - t] - t]
-    return TmTriple(t, tuple(n), tuple(m))
+    return TmTriple(t, _rows_below(v, t), _rows_below(dual_vector(v), t))
+
+
+def _rows_below(v: LorenzVector, t: int) -> tuple[int, ...]:
+    """Rows of length 2..t below the Durfee square of side t: every row
+    shorter than t lies below it, and p - t rows do in all."""
+    runs = dict(v.rle)
+    short = [runs.get(x, 0) for x in range(2, t)]
+    return tuple(short + [v.p - t - sum(short)])
 
 
 def vector_from_triple(triple: TmTriple) -> LorenzVector:
@@ -280,11 +294,12 @@ def vector_from_triple(triple: TmTriple) -> LorenzVector:
     valid triple gives a normalized vector with trip number t: the LL rows lie
     in 2..t and each LR row is at least t, so the Durfee side is t, and the two
     longest rows each take every column, since every height is at least 2.
+    The shortest LR row is t when m_(t-1) = 0, so it joins an LL run of t.
     """
     t, m = triple.t, triple.m
-    d_ll = [i + 1 for i in range(1, t) for _ in range(triple.n[i - 1])]
-    d_lr = [t + sum(m[max(j - 2, 0):]) for j in range(t, 0, -1)]
-    return LorenzVector(tuple(d_ll + d_lr))
+    ll = [(i + 1, c) for i, c in enumerate(triple.n, start=1) if c]
+    lr = [(t + sum(m[max(j - 2, 0):]), 1) for j in range(t, 0, -1)]
+    return LorenzVector(_merge_runs(ll + lr))
 
 
 def minimal_word_from_triple(triple: TmTriple) -> BraidWord:

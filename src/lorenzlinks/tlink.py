@@ -3,8 +3,9 @@ T-links: repeated positive twisting of torus braids.
 
 T((r_1,s_1),...,(r_k,s_k)) is the closure of the r_k-strand word
 prod_i (sigma_1 ... sigma_{r_i-1})^{s_i}, with 2 <= r_1 <= ... <= r_k and
-s_i >= 1.  The run-length pairs of a Lorenz vector transfer verbatim to
-T-parameters and back, so T-links and Lorenz links coincide; the X, Y, Z
+s_i >= 1.  The run-length pairs of a Lorenz vector, which are its stored
+form (LorenzVector.rle), transfer verbatim to T-parameters and back, and one
+merge of equal r serves both; so T-links and Lorenz links coincide.  The X, Y, Z
 words built here realise that identity inside the braid group and are checked
 against the T-braid word through the normal-form engine.
 
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .braid import BraidWord, bracket, concat_all, power
 from .errors import ParseError
-from .lorenz import LorenzVector, _require_normalized, dual_vector, trip_number
+from .lorenz import LorenzVector, _merge_runs, _require_normalized, dual_vector, trip_number
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,7 @@ class TParams:
 
     def canonical(self) -> "TParams":
         """Merge adjacent pairs with equal r (their s values add)."""
-        merged: list[tuple[int, int]] = []
-        for r, s in self.pairs:
-            if merged and merged[-1][0] == r:
-                merged[-1] = (r, merged[-1][1] + s)
-            else:
-                merged.append((r, s))
-        return TParams(tuple(merged))
+        return TParams(_merge_runs(self.pairs))
 
     def __str__(self) -> str:
         return format_tparams(self)
@@ -95,19 +91,14 @@ def vector_to_tparams(v: LorenzVector) -> TParams:
 
 
 def tparams_to_vector(t: TParams) -> LorenzVector:
-    """The Lorenz vector whose run-length form is the canonical parameters;
-    r is nondecreasing, so expanding the pairs unmerged gives the same vector."""
-    entries: list[int] = []
-    for r, s in t.pairs:
-        entries.extend([r] * s)
-    return LorenzVector(tuple(entries))
+    """The Lorenz vector whose run-length form is the canonical parameters."""
+    return LorenzVector(_merge_runs(t.pairs))
 
 
 def x_word(v: LorenzVector) -> BraidWord:
     """The LL part on r_k strands: prod_{i<=p-t} [1, d_i]."""
-    t = trip_number(v)
-    n = v.dp
-    return concat_all(n, (bracket(1, v.d[i - 1], n) for i in range(1, v.p - t + 1)))
+    t, n, d = trip_number(v), v.dp, v.d
+    return concat_all(n, (bracket(1, d[i - 1], n) for i in range(1, v.p - t + 1)))
 
 
 def y_word(v: LorenzVector) -> BraidWord:
@@ -123,11 +114,10 @@ def z_word(v: LorenzVector) -> BraidWord:
     A factor with equal endpoints crosses nothing and contributes the empty
     word (this happens exactly when the corresponding strand has d = t).
     """
-    t = trip_number(v)
-    n = v.dp
+    t, n, d, p = trip_number(v), v.dp, v.d, v.p
     parts = []
     for i in range(t):
-        lo, hi = t - i, v.d[v.p - i - 1] - i
+        lo, hi = t - i, d[p - i - 1] - i
         if lo != hi:
             parts.append(bracket(lo, hi, n))
     return concat_all(n, parts)
@@ -157,12 +147,7 @@ def braid_index(t: TParams) -> int:
     t = t.canonical()
     k = t.k
     r = [0] + [pr[0] for pr in t.pairs]
-    s = [pr[1] for pr in t.pairs]
-    r_bar = [0]
-    acc = 0
-    for j in range(1, k + 1):
-        acc += s[k - j]
-        r_bar.append(acc)
+    r_bar = [0, *accumulate(s for _, s in reversed(t.pairs))]
     i0 = min(i for i in range(1, k + 1) if r[i] >= r_bar[k - i])
     j0 = min(j for j in range(1, k + 1) if r_bar[j] >= r[k - j])
     return min(r[i0], r_bar[j0])

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator
 
 import pytest
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
-                         TParams, normalize_units, torus_simplify)
+                         TmTriple, TParams, normalize_units, torus_simplify)
 
 
 def random_normalized_vector(
@@ -32,8 +33,7 @@ def random_normalized_vector(
             continue
         for _ in range(rng.randint(0, budget)):
             ss[rng.randrange(kk)] += 1
-        entries = [r for r, s in zip(rs, ss) for _ in range(s)]
-        return LorenzVector(tuple(entries))
+        return from_entries([r for r, s in zip(rs, ss) for _ in range(s)])
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -241,7 +241,7 @@ def torus_simplify_loop(t: TParams) -> TParams:
     return current
 
 
-# Reference for LorenzVector.rle: one step per entry, not one per run.
+# Reference for the runs of a vector: one step per entry, not one per run.
 def rle_loop(d: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     pairs: list[tuple[int, int]] = []
     for x in d:
@@ -250,6 +250,36 @@ def rle_loop(d: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         else:
             pairs.append((x, 1))
     return tuple(pairs)
+
+
+def from_entries(d) -> LorenzVector:
+    """The vector <d_1, ..., d_p> written entry by entry; LorenzVector holds runs."""
+    return LorenzVector(rle_loop(tuple(d)))
+
+
+# Entry-based references for the run-length trip_number, dual_vector and
+# tm_triple of lorenzlinks.lorenz; each reads the p entries of a normalized v.
+def trip_number_entries(v: LorenzVector) -> int:
+    """t = #{i : i + d_i > p}; the ends i + d_i strictly increase, so those
+    above p form a suffix, found by bisection."""
+    p, d = v.p, v.d
+    return p - bisect_right(range(p), p, key=lambda j: j + 1 + d[j])
+
+
+def dual_vector_entries(v: LorenzVector) -> LorenzVector:
+    """The conjugate partition: column x has height #{i : d_i >= x}."""
+    d = v.d
+    return from_entries([len(d) - bisect_left(d, x) for x in range(d[-1], 0, -1)])
+
+
+def tm_triple_entries(v: LorenzVector) -> TmTriple:
+    """n counts the rows of each length below the Durfee square; m the steps
+    between the t longest rows, and from the t-th longest down to t."""
+    t, d, p = trip_number_entries(v), v.d, v.p
+    ll = d[:p - t]
+    n = [bisect_right(ll, x) - bisect_left(ll, x) for x in range(2, t + 1)]
+    m = [d[p - i - 1] - d[p - i - 2] for i in range(1, t - 1)] + [d[p - t] - t]
+    return TmTriple(t, tuple(n), tuple(m))
 
 
 # Reference for lorenz.normalize: the single destabilization moves, one at a time.
@@ -272,7 +302,7 @@ def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
             return
         if not d:
             return
-        yield LorenzVector(tuple(d))
+        yield from_entries(d)
 
 
 def assert_raises(build: Callable[[], object], exc_type: type, message: str) -> None:

@@ -109,9 +109,9 @@ def test_criterion_03_theorem1_word_identity():
             t = trip_number(v)
             xyz = x_word(v) * y_word(v) * z_word(v)
             assert words_equal(xyz, tbraid_word(vector_to_tparams(v)))
-            yz_rhs = BraidWord(v.dp)
+            yz_rhs, d = BraidWord(v.dp), v.d
             for i in range(v.p - t + 1, v.p + 1):
-                yz_rhs = yz_rhs * bracket(1, v.d[i - 1], v.dp)
+                yz_rhs = yz_rhs * bracket(1, d[i - 1], v.dp)
             assert words_equal(y_word(v) * z_word(v), yz_rhs)
         assert time.perf_counter() - t0 < 60
 

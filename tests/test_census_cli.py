@@ -225,6 +225,29 @@ def test_cli_validate_reports_trip_and_components(capsys):
     assert "components" not in json.loads(capsys.readouterr().out)
 
 
+def test_cli_huge_multiplicity_is_exact(capsys):
+    # a vector is held as its runs, so no command here expands the 10^20 entries
+    n = 99999999999999999999
+    text = f"2^{n},3^5"
+    p, total = n + 5, 2 * n + 15
+    expected = {
+        "validate": [text, f"p={p} d_p=3 strands={p + 3} crossings={total}",
+                     "normalized=yes", "trip=3 components=2"],
+        "normalize": [text],
+        "trip": ["3"],
+        "dual": [f"5,{p}^2"],
+    }
+    for command, lines in expected.items():
+        assert cli.main([command, text]) == 0, command
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", ""), command
+    assert cli.main(["--json", "invariants", text]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    cmn = total - p - 3
+    assert rep["crossings"] == {"lorenz": total, "t": total - p, "t_dual": total - 3,
+                                "minimal": cmn + 3}
+    assert (rep["trip"], rep["components"], rep["genus"]) == (3, 2, cmn // 2)
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"
@@ -440,7 +463,8 @@ def test_cli_census_text(capsys):
 
 
 # Small argv for every subcommand but census: a stray character now and then
-# makes a parse error, and no exponent is large (parse_vector expands eagerly).
+# makes a parse error, and no exponent is large (tbraid, minimal and alexander
+# build words of about S letters).
 _STRAY = st.sampled_from([""] * 12 + ["x", ",", "^", "-", "(", " ", "0"])
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from lorenzlinks import (
     cycle_count,
     format_word,
     invariant_report,
+    is_torus,
     load_census,
     lorenz_permutation,
     milestone_words,
@@ -141,6 +143,22 @@ def test_invariant_report_linear_in_p():
         exponents.append(fitted_exponent(sizes, times))
     exponent = statistics.median(exponents)
     assert exponent <= 1.2, (sizes, exponents)
+
+
+def test_huge_multiplicity_allocates_no_entries():
+    # the runs are the stored form: a million equal entries cost one pair
+    tracemalloc.start()
+    try:
+        rep = invariant_report(parse_vector("2^1000000,7^2,9^5,40^2"))
+        report_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verdict = is_torus(parse_vector("2^1000000"))
+        torus_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_peak < 1 << 20 and torus_peak < 1 << 20, (report_peak, torus_peak)
+    assert rep.crossings["lorenz"] == 2 * 1000000 + 14 + 45 + 80
+    assert (str(verdict), verdict.decided_by) == ("Torus(2,1000000)", "tparams")
 
 
 def test_morton_explicit_value():

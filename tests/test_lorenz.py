@@ -4,13 +4,15 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import assert_raises, normalize_steps, random_normalized_vector, rle_loop
+from helpers import (assert_raises, dual_vector_entries, from_entries, normalize_steps,
+                     random_normalized_vector, rle_loop, tm_triple_entries, trip_number_entries)
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
     ParseError,
+    TParams,
     classify_strands,
     cycle_count,
     dual_vector,
@@ -56,9 +58,9 @@ def test_rle_matches_the_entry_loop():
     vectors += [random_normalized_vector(rng, max_p=60, max_r=20) for _ in range(2000)]
     vectors += [random_normalized_vector(rng, max_p=2000, max_r=60) for _ in range(50)]
     # k = p: every entry differs, one run per entry
-    vectors += [LorenzVector(tuple(range(1, p + 1))) for p in range(1, 40)]
-    vectors += [LorenzVector(tuple(sorted(rng.sample(range(1, 500), p)))) for p in range(1, 60)]
-    vectors += [LorenzVector((7,) * p) for p in (1, 2, 1000)]
+    vectors += [from_entries(range(1, p + 1)) for p in range(1, 40)]
+    vectors += [from_entries(sorted(rng.sample(range(1, 500), p))) for p in range(1, 60)]
+    vectors += [from_entries((7,) * p) for p in (1, 2, 1000)]
     for v in vectors:
         assert v.rle == rle_loop(v.d), v
 
@@ -74,8 +76,8 @@ def _expand(runs) -> tuple[int, ...]:
 @settings(max_examples=300, deadline=None)
 @given(_RUNS)
 def test_run_lengths_round_trip(runs):
-    v = LorenzVector(_expand(runs))
-    assert v.rle == tuple(runs)
+    v = from_entries(_expand(runs))
+    assert v.rle == tuple(runs) and v == LorenzVector(tuple(runs))
     assert _expand(v.rle) == v.d
     assert parse_vector(format_vector(v)) == v
 
@@ -83,20 +85,51 @@ def test_run_lengths_round_trip(runs):
 @settings(max_examples=300, deadline=None)
 @given(_RUNS.filter(lambda runs: runs[0][0] >= 2 and runs[-1][1] >= 2))
 def test_tparams_round_trip_on_normalized_run_lengths(runs):
-    v = LorenzVector(_expand(runs))
+    v = from_entries(_expand(runs))
     assert v.is_normalized
     tp = vector_to_tparams(v)
     assert tp.pairs == tuple(runs)
     assert tparams_to_vector(tp) == v
 
 
+# Small runs from r = 1: leading 1-runs, a last run of one entry, and r^s
+# with s > r, where the LL rows of length t meet the shortest LR row (m_(t-1) = 0).
+_SMALL_RUNS = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=5,
+                       unique_by=lambda run: run[0]).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_RUNS)
+@example([(1, 2), (3, 5)])  # a leading 1-run, and the seam at r = t = 3
+@example([(2, 3), (4, 2), (6, 1)])  # s_k = 1
+@example([(2, 1), (3, 3), (5, 2)])  # the seam at t = 3 with a longer run above
+def test_run_length_functions_match_the_entry_oracles(runs):
+    v = LorenzVector(tuple(runs))
+    assert v.d == _expand(runs) and v == from_entries(v.d)
+    assert normalize(v) == _normalize_by_steps(v)
+    if runs[0][0] >= 2:  # unmerged T-parameters: each run with s > 1 cut in two
+        split = [pair for r, s in runs for pair in ([(r, 1), (r, s - 1)] if s > 1 else [(r, s)])]
+        assert tparams_to_vector(TParams(tuple(split))) == v
+    nv = normalize(v)
+    if nv is UNKNOT:
+        return
+    assert trip_number(nv) == trip_number_entries(nv)
+    assert dual_vector(nv) == dual_vector_entries(nv)
+    triple = tm_triple(nv)
+    assert triple == tm_triple_entries(nv)
+    assert vector_from_triple(triple) == nv
+
+
 def test_parse_sorts_with_warning():
     with pytest.warns(VectorOrderWarning):
         v = parse_vector("6^6,5^8")
     assert format_vector(v) == "5^8,6^6"
+    with pytest.warns(VectorOrderWarning):
+        assert parse_vector("2,3,2") == parse_vector("2^2,3")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_vector("2^2,3^4")  # ordered input warns on nothing
+        assert parse_vector("2^2,2,3") == parse_vector("2^3,3")  # equal r merge silently
 
 
 def test_parse_errors():
@@ -107,18 +140,18 @@ def test_parse_errors():
 
 def test_vector_invariants():
     with pytest.raises(ValueError):
-        LorenzVector((3, 2))
+        from_entries((3, 2))
     with pytest.raises(ValueError):
-        LorenzVector(())
+        from_entries(())
 
 
 def test_normalize_examples():
-    assert normalize(LorenzVector((1, 1, 4))) is UNKNOT
-    assert normalize(LorenzVector((2, 2, 3, 4))) == LorenzVector((2, 2, 3, 3))
+    assert normalize(from_entries((1, 1, 4))) is UNKNOT
+    assert normalize(from_entries((2, 2, 3, 4))) == from_entries((2, 2, 3, 3))
     v = parse_vector(FAVORITE)
     assert normalize(v) == v
-    assert normalize(LorenzVector((2,))) is UNKNOT
-    assert normalize(LorenzVector((1, 2, 2))) == LorenzVector((2, 2))
+    assert normalize(from_entries((2,))) is UNKNOT
+    assert normalize(from_entries((1, 2, 2))) == from_entries((2, 2))
 
 
 def test_normalize_preserves_c_minus_n():
@@ -127,7 +160,7 @@ def test_normalize_preserves_c_minus_n():
         # build arbitrary (possibly unnormalized) vectors
         p = rng.randint(1, 12)
         d = sorted(rng.randint(1, 9) for _ in range(p))
-        v = LorenzVector(tuple(d))
+        v = from_entries(d)
         before = v.total - v.strands
         for step in normalize_steps(v):
             assert step.total - step.strands == before
@@ -148,7 +181,7 @@ def test_normalize_agrees_with_steps():
         d = sorted(rng.randint(1, 9) for _ in range(p))
         if d and rng.random() < 0.5:
             d[-1] += rng.randint(1, 300)  # a long run of decrements
-        v = LorenzVector((1,) * ones + tuple(d))
+        v = from_entries((1,) * ones + tuple(d))
         assert normalize(v) == _normalize_by_steps(v), v
 
 
@@ -157,7 +190,7 @@ def test_normalize_long_decrement_is_fast():
     t0 = time.perf_counter()
     nv = normalize(v)
     elapsed = time.perf_counter() - t0
-    assert nv == LorenzVector((2,) * 1001)
+    assert nv == from_entries((2,) * 1001)
     assert elapsed < 0.05, elapsed
 
 
@@ -182,7 +215,7 @@ def test_trip_number():
         for s in range(r, 10):
             assert trip_number(parse_vector(f"{r}^{s}")) == r
     with pytest.raises(ValueError):
-        trip_number(LorenzVector((1, 2, 2)))
+        trip_number(from_entries((1, 2, 2)))
 
 
 def test_trip_number_agrees_with_count():
@@ -190,7 +223,8 @@ def test_trip_number_agrees_with_count():
     rng = random.Random(19)
     for _ in range(20000):
         v = random_normalized_vector(rng, max_p=60, max_r=20)
-        count = sum(1 for i, di in enumerate(v.d, start=1) if i + di > v.p)
+        p = v.p
+        count = sum(1 for i, di in enumerate(v.d, start=1) if i + di > p)
         assert trip_number(v) == count, v
 
 
@@ -398,8 +432,14 @@ def test_minimal_word_delta_duality():
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: LorenzVector((0, 2)),
-                 "displacements must be positive: (0, 2)", id="nonpositive"),
+    pytest.param(lambda: from_entries((0, 2)), "displacements and multiplicities must be"
+                 " positive: ((0, 1), (2, 1))", id="nonpositive"),
+    pytest.param(lambda: LorenzVector(((2, 0),)), "displacements and multiplicities must be"
+                 " positive: ((2, 0),)", id="nonpositive-run"),
+    pytest.param(lambda: from_entries((3, 2)),
+                 "run displacements must strictly increase: ((3, 1), (2, 1))", id="unsorted"),
+    pytest.param(lambda: LorenzVector(((2, 1), (2, 3))),
+                 "run displacements must strictly increase: ((2, 1), (2, 3))", id="unmerged"),
     pytest.param(lambda: TmTriple(1, (), ()),
                  "trip number must be at least 2", id="trip-below-2"),
     pytest.param(lambda: TmTriple(3, (0,), (0, 0)),

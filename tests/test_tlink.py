@@ -98,9 +98,10 @@ def test_xyz_equals_tbraid_random():
         v = random_normalized_vector(rng, max_p=12, max_r=9)
         t_word = tbraid_word(vector_to_tparams(v))
         assert words_equal(x_word(v) * y_word(v) * z_word(v), t_word)
+        d = v.d
         rhs = concat_all(
             v.dp,
-            [bracket(1, v.d[i - 1], v.dp) for i in range(v.p - trip_number(v) + 1, v.p + 1)],
+            [bracket(1, d[i - 1], v.dp) for i in range(v.p - trip_number(v) + 1, v.p + 1)],
         )
         assert words_equal(y_word(v) * z_word(v), rhs)
 
