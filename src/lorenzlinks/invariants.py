@@ -39,6 +39,8 @@ from .lorenz import (
     trip_number,
 )
 
+MAX_DP = 100_000  # the T-braid strands that mu is counted on, a list of d_p entries
+
 @dataclass(frozen=True)
 class InvariantReport:
     """Invariants of one Lorenz link, all derived from its normalized vector."""
@@ -106,6 +108,8 @@ def _tbraid_components(nv: LorenzVector) -> int:
     the inverse of the braid's permutation, which has the same cycle count,
     and mu is the cycle count of any braid that closes to the link.
     """
+    if nv.dp > MAX_DP:
+        raise UnsupportedInput(f"d_p = {nv.dp} exceeds the cap of {MAX_DP} T-braid strands")
     a = list(range(1, nv.dp + 1))
     for r, s in nv.rle:
         s %= r

@@ -7,12 +7,12 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 |M| / (t-1).  Conjugacy is then reduced to the word problem: delta = [1,t]
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
-t, |M| and the component count mu have closed forms in the vector, and
-is_torus reads all three from invariants.invariant_report; census.report
-passes its own report to the same decision, so nothing is counted twice.
+is_torus reads t, |M| and the component count mu, closed forms in the vector,
+from invariants.invariant_report; census.report passes its own report to the
+same decision, so nothing is counted twice.
 The minimal word begins with [1,t]^t, which has t(t-1) letters, so q >= t
-needs no test.  Two cheap rungs come before any braid arithmetic, in this
-order:
+needs no test.  After the unknot and the length rule, two cheap rungs come
+before any word is built:
 
 - components: delta^q permutes the strands as the q-th power of a t-cycle,
   so T(t, q) has gcd(t, q) components; mu is counted without a word.
@@ -22,9 +22,18 @@ order:
 
 Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
 (t-1)(q-t) letters.  The positive monoid is cancellative, so
-M^t = Delta^(2q) exactly when X^t = Delta^(2(q-t)).  The factors of X are
-folded t times, stopping past 2(q-t) factors:
+M^t = Delta^(2q) exactly when X^t = Delta^(2(q-t)).  One walk over X comes
+first, then the factors of X are folded t times, stopping past 2(q-t) factors:
 
+- crossings: label each strand of a positive word by its start position.
+  Positive words equal in B_t are related by far commutations, which move no
+  crossing between strand pairs, and braid moves, each side of which crosses
+  each pair of its three strands once (Garside, Quart. J. Math. 1969).  So
+  how often strands a and b cross is a braid invariant: 2k for every pair in
+  Delta^(2k), and sum_(j<t) C[pi^j a, pi^j b] in X^t, where C counts one walk
+  over X and pi is its strand map.  The sum runs along the pair's orbit:
+  exact if pi^t = id, while if not, X^t has the wrong permutation.  Either
+  way a pair whose sum is not 2(q-t) makes the link NotTorus.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
@@ -36,6 +45,7 @@ folded t times, stopping past 2(q-t) factors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
@@ -53,8 +63,8 @@ class TorusVerdict:
     kind: str  # "torus" | "not-torus" | "unknot"
     t: Optional[int] = None
     q: Optional[int] = None
-    # "unknot" | "length" | "components" | "tparams" | "factor_bound" |
-    # "garside"; only Torus verdicts are decided by "tparams" or "garside"
+    # "unknot" | "length" | "components" | "tparams" | "crossings" | "factor_bound" |
+    # "garside"; "tparams" and "garside" decide only Torus verdicts, "crossings" only NotTorus
     decided_by: str = field(default="garside", compare=False)
 
     def __post_init__(self) -> None:
@@ -73,15 +83,33 @@ class TorusVerdict:
 
 
 NOT_TORUS = {rung: TorusVerdict("not-torus", decided_by=rung) for rung in
-             ("length", "components", "factor_bound")}
+             ("length", "components", "crossings", "factor_bound")}
 UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 
 
-def _garside_verdict(nv: LorenzVector, t: int, q: int) -> TorusVerdict:
-    """The fold of X^t within 2(q-t) factors, for a normalized vector whose
-    minimal word has t strands and (t-1)q letters."""
-    x = _product(_cut(t, minimal_braid_word(nv).letters[t * (t - 1):]))
-    if _product(x * t, 2 * (q - t)) is None:
+def _crossings_agree(t: int, x: tuple[int, ...], k: int) -> bool:
+    """Whether every pair of strands crosses k times in X^t, for X's letters x.
+    With the strands labelled 0..t-1 by start position, one walk over x crosses
+    a and b c[a][b] + c[b][a] times and leaves strand at[i] at position i."""
+    at, c = list(range(t)), [[0] * t for _ in range(t)]
+    for i in x:
+        c[at[i - 1]][at[i]] += 1
+        at[i - 1], at[i] = at[i], at[i - 1]
+    seen: set[tuple[int, int]] = set()
+    for a, b in combinations(range(t), 2):
+        excess = 0
+        while (a, b) not in seen:  # the orbit under at, the inverse strand map
+            seen.update(((a, b), (b, a)))
+            excess += t * (c[a][b] + c[b][a]) - k
+            a, b = at[a], at[b]
+        if excess:
+            return False
+    return True
+
+
+def _garside_verdict(t: int, q: int, x: tuple[int, ...]) -> TorusVerdict:
+    """The fold of X^t within 2(q-t) factors, for X's letters x on t strands."""
+    if _product(_product(_cut(t, x)) * t, 2 * (q - t)) is None:
         return NOT_TORUS["factor_bound"]
     return TorusVerdict("torus", t, q)
 
@@ -101,7 +129,10 @@ def _verdict(rep: InvariantReport) -> TorusVerdict:
     if reduced.k == 1:
         r, s = reduced.pairs[0]
         return TorusVerdict("torus", min(r, s), max(r, s), decided_by="tparams")
-    return _garside_verdict(nv, t, q)
+    x = minimal_braid_word(nv).letters[t * (t - 1):]
+    if not _crossings_agree(t, x, 2 * (q - t)):
+        return NOT_TORUS["crossings"]
+    return _garside_verdict(t, q, x)
 
 
 def is_torus(v: LorenzVector) -> TorusVerdict:

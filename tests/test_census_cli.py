@@ -27,7 +27,7 @@ from lorenzlinks import (
 from lorenzlinks import census as census_mod
 from lorenzlinks import invariants, lorenz
 from lorenzlinks.census import REPORT_SCHEMA, builtin_knotscape_names
-from lorenzlinks.errors import ParseError
+from lorenzlinks.errors import ParseError, UnsupportedInput
 from lorenzlinks.lorenz import VectorOrderWarning
 
 UNKNOWN_ROWS = {"k7_48", "k7_56", "k7_101", "k7_109", "k7_119"}
@@ -248,6 +248,20 @@ def test_cli_huge_multiplicity_is_exact(capsys):
     assert (rep["trip"], rep["components"], rep["genus"]) == (3, 2, cmn // 2)
 
 
+def test_cli_huge_dp_exits_1(capsys):
+    # the component count builds a list of d_p entries, so d_p is capped and
+    # the cap is checked before that list is built
+    text = "2^3,99999999999999999999^2"
+    for command in ("validate", "invariants", "is-torus"):
+        assert cli.main([command, text]) == 1, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err == (f"error: d_p = 99999999999999999999 exceeds the cap of "
+                       f"{invariants.MAX_DP} T-braid strands\n"), command
+    with pytest.raises(UnsupportedInput):
+        invariant_report(parse_vector(f"2^3,{invariants.MAX_DP + 1}^2"))
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"
@@ -441,7 +455,7 @@ def test_cli_json_round_trip(capsys):
     assert all(r["schema"] == REPORT_SCHEMA for r in reports)
     decided = [r["torus_decided_by"] for r in reports]
     assert decided.count(None) == 5  # the unknown rows
-    assert set(decided) == {None, "length", "components", "factor_bound"}
+    assert set(decided) == {None, "length", "components", "crossings", "factor_bound"}
 
     assert cli.main(["--json", "is-torus", "3^6,8^3"]) == 0
     assert json.loads(capsys.readouterr().out) == {

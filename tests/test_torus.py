@@ -5,8 +5,16 @@ from math import gcd
 
 import pytest
 
-from helpers import central_power, fitted_exponent, from_entries, random_normalized_vector
+from helpers import (
+    central_power,
+    fitted_exponent,
+    from_entries,
+    random_normalized_vector,
+    random_rewrite,
+    rewrite_classes,
+)
 from lorenzlinks import (
+    BraidWord,
     LaurentPoly,
     LorenzVector,
     TParams,
@@ -18,6 +26,7 @@ from lorenzlinks import (
     normal_form,
     normalize,
     parse_vector,
+    periodic_word,
     poly_equal_up_to_units,
     report,
     torus_simplify,
@@ -26,7 +35,7 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks.garside import nf_power
-from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _garside_verdict
+from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _crossings_agree, _garside_verdict
 
 
 def test_verdict_type():
@@ -72,6 +81,7 @@ def test_verdict_names_its_rung():
         "1,1,4": ("Unknot", "unknot"),
         "6^6,8^5": ("NotTorus", "length"),
         "2^2,3^5": ("NotTorus", "components"),
+        "2^12,13^23": ("NotTorus", "crossings"),
         "2^4,3^2,6,8^2": ("NotTorus", "factor_bound"),
         "3^6,8^3": ("Torus(3,14)", "tparams"),
         "2^2,4^3": ("Torus(3,5)", "garside"),
@@ -82,8 +92,8 @@ def test_verdict_names_its_rung():
     # one shared verdict per rung; the rung takes no part in equality
     assert is_torus(parse_vector("2^2,3^5")) is NOT_TORUS["components"]
     assert NOT_TORUS["components"] == NOT_TORUS["factor_bound"] == TorusVerdict("not-torus")
-    # "tparams" and "garside" name only Torus verdicts
-    assert set(NOT_TORUS) == {"length", "components", "factor_bound"}
+    # "tparams" and "garside" name only Torus verdicts, "crossings" only NotTorus
+    assert set(NOT_TORUS) == {"length", "components", "crossings", "factor_bound"}
 
 
 def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
@@ -92,13 +102,73 @@ def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
     return rep.trip, rep.min_crossing_number
 
 
+def _fold(v: LorenzVector) -> TorusVerdict:
+    """The Garside fold of X^t within 2(q-t) factors, called directly, for a
+    vector that passes the length rule: M = delta^t X on t strands."""
+    t, length = _minimal_sizes(v)
+    x = minimal_braid_word(v).letters[t * (t - 1):]
+    return _garside_verdict(t, length // (t - 1), x)
+
+
+def _pair_crossings(t: int, letters: tuple[int, ...]) -> tuple[dict, list[int]]:
+    """How often each pair a < b of strands, labelled by start position,
+    crosses in a positive word, and the strand at each end position."""
+    at = list(range(t))
+    counts = {(a, b): 0 for a in range(t) for b in range(a + 1, t)}
+    for i in letters:
+        counts[min(at[i - 1], at[i]), max(at[i - 1], at[i])] += 1
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return counts, at
+
+
+def test_pair_crossings_are_a_braid_invariant():
+    # The lemma of the crossings rung: every word of a rewrite class crosses
+    # each pair of strands equally often, and Delta^(2k) crosses every pair 2k
+    # times.
+    for n in (3, 4, 5):
+        for length in range(7 if n < 5 else 6):
+            for cls in rewrite_classes(n, length):
+                assert len({tuple(_pair_crossings(n, w)[0].values()) for w in cls}) == 1
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 40))))
+        assert _pair_crossings(n, random_rewrite(rng, w).letters) == _pair_crossings(n, w.letters)
+    for t in range(2, 9):
+        for k in range(4):
+            counts, _ = _pair_crossings(t, periodic_word(t, t * k).letters)  # delta^t = Delta^2
+            assert set(counts.values()) == {2 * k}, (t, k)
+
+
+def test_crossings_rung_reads_the_power():
+    # _crossings_agree sums one walk over X along orbits; where X^t has the
+    # identity permutation it must say exactly whether every pair crosses k
+    # times in the t-fold word, walked in full.
+    rng = random.Random(43)
+    agreed = 0
+    for _ in range(600):
+        t = rng.randint(2, 7)
+        x = tuple(rng.randint(1, t - 1) for _ in range(rng.randint(0, 30)))
+        if rng.random() < 0.3:  # a rewritten power of delta^t = Delta^2
+            x = random_rewrite(rng, periodic_word(t, t * rng.randint(0, 3))).letters
+        counts, at = _pair_crossings(t, x * t)
+        if at != list(range(t)):
+            continue
+        for k in set(counts.values()) | {0, 2}:
+            assert _crossings_agree(t, x, k) == (set(counts.values()) == {k}), (t, x, k)
+        agreed += _crossings_agree(t, x, counts[0, 1])
+    assert agreed >= 100, agreed
+
+
 def test_cheap_rungs_agree_with_full_power():
     # Every vector that passes the length rule, decided by components, the
-    # T-parameter rewrite, the factor bound or a fold within 2(q-t) factors,
-    # against the full power M^t.
+    # T-parameter rewrite, the crossing counts, the factor bound or a fold
+    # within 2(q-t) factors, against the full power M^t.  At least 2,000
+    # draws, and on until every rung's floor is met.
     rng = random.Random(17)
     rungs = collections.Counter()
-    while sum(rungs.values()) < 2000:
+    floors = {"components": 300, "crossings": 200, "factor_bound": 200, "tparams": 1, "garside": 1}
+    while sum(rungs.values()) < 2000 or any(rungs[r] < n for r, n in floors.items()):
         v = random_normalized_vector(rng, max_p=18, max_r=8)
         t, length = _minimal_sizes(v)
         if length % (t - 1):
@@ -111,8 +181,7 @@ def test_cheap_rungs_agree_with_full_power():
         assert verdict.is_torus == full, (v, verdict.decided_by)
         assert (verdict.decided_by in ("tparams", "garside")) == full, (v, verdict.decided_by)
         assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
-    assert rungs["components"] >= 300 and rungs["factor_bound"] >= 200, rungs
-    assert rungs["tparams"] and rungs["garside"], rungs
+    assert all(rungs[r] >= n for r, n in floors.items()), rungs
 
 
 def test_tparams_reduction_agrees_with_the_fold():
@@ -129,7 +198,7 @@ def test_tparams_reduction_agrees_with_the_fold():
         if length % (t - 1):
             assert reduced.k > 1, v
             continue
-        fold = _garside_verdict(v, t, length // (t - 1))
+        fold = _fold(v)
         if reduced.k == 1:
             (r, s), = reduced.pairs
             assert fold == TorusVerdict("torus", min(r, s), max(r, s)), (v, reduced)
@@ -180,9 +249,9 @@ def test_census_rung_histogram():
     rungs = collections.Counter(
         is_torus(entry.vector).decided_by for entry in load_census() if entry.known
     )
-    # every census row that passes the length rule is NotTorus, by components
-    # or the factor bound, so none is decided by "garside"
-    assert rungs == {"length": 72, "components": 11, "factor_bound": 24}
+    # every census row that passes the length rule is NotTorus, by components,
+    # the crossing counts or the factor bound, so none is decided by "garside"
+    assert rungs == {"length": 72, "components": 11, "crossings": 3, "factor_bound": 21}
 
 
 def test_long_vectors_decided_by_components():
@@ -255,11 +324,11 @@ def test_quadratic_envelope_of_the_cancelled_fold():
     times = []
     for s in (36, 72, 143, 285):
         v = parse_vector(f"8^{s}")
-        t, word_len = _minimal_sizes(v)
+        word_len = _minimal_sizes(v)[1]
         best = None
         for _ in range(3):
             t0 = time.perf_counter()
-            verdict = _garside_verdict(v, t, word_len // (t - 1))
+            verdict = _fold(v)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         assert (verdict.t, verdict.q, verdict.decided_by) == (8, s, "garside")
@@ -270,9 +339,9 @@ def test_quadratic_envelope_of_the_cancelled_fold():
     assert exponent <= 4.0, (sizes, times, exponent)
 
 
-@pytest.mark.slow
-def test_envelope_of_the_factor_bound_fold():
-    # Morton-family knots <2^2m, 9^q>: every one ends in the NotTorus fold.
+def _envelope(decide, rung: str) -> None:
+    """Fit best-of-3 times of decide on the Morton-family knots <2^2m, 9^q>
+    against their minimal-word letters; each is decided by rung."""
     sizes = []
     times = []
     for text in ("2^8,9^31", "2^16,9^62", "2^32,9^121", "2^64,9^242"):
@@ -280,12 +349,24 @@ def test_envelope_of_the_factor_bound_fold():
         best = None
         for _ in range(3):
             t0 = time.perf_counter()
-            verdict = is_torus(v)
+            verdict = decide(v)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
-        assert verdict.decided_by == "factor_bound", (text, verdict)
+        assert verdict.decided_by == rung, (text, verdict)
         sizes.append(_minimal_sizes(v)[1])
         times.append(best)
     assert sizes[-1] >= 1990
     exponent = fitted_exponent(sizes, times)
     assert exponent <= 4.0, (sizes, times, exponent)
+
+
+@pytest.mark.slow
+def test_envelope_of_the_factor_bound_fold():
+    # The crossings rung decides these knots in is_torus; this times the
+    # NotTorus fold of X^t on the same vectors, called directly.
+    _envelope(_fold, "factor_bound")
+
+
+@pytest.mark.slow
+def test_envelope_of_the_crossings_rung():
+    _envelope(is_torus, "crossings")
