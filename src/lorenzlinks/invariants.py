@@ -40,6 +40,7 @@ from .lorenz import (
 )
 
 MAX_DP = 100_000  # the T-braid strands that mu is counted on, a list of d_p entries
+MAX_RUNS = 100  # the k rotations of that list, which copy up to k * d_p entries
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -106,10 +107,13 @@ def _tbraid_components(nv: LorenzVector) -> int:
     2..r down by one, so [1, r]^s rotates the first r positions left by s mod r.
     The arrangement a (a[pos-1] = the strand at pos) after all k rotations is
     the inverse of the braid's permutation, which has the same cycle count,
-    and mu is the cycle count of any braid that closes to the link.
+    and mu is the cycle count of any braid that closes to the link.  The
+    rotations copy up to k * d_p entries, so d_p and k are capped first.
     """
     if nv.dp > MAX_DP:
         raise UnsupportedInput(f"d_p = {nv.dp} exceeds the cap of {MAX_DP} T-braid strands")
+    if len(nv.rle) > MAX_RUNS:
+        raise UnsupportedInput(f"k = {len(nv.rle)} runs exceeds the cap of {MAX_RUNS} runs")
     a = list(range(1, nv.dp + 1))
     for r, s in nv.rle:
         s %= r

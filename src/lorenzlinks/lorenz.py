@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Union
 
-from .braid import (
-    BraidWord,
-    Permutation,
-    bracket,
-    concat_all,
-    permutation_braid_word,
-    power,
-)
+from .braid import BraidWord, Permutation, permutation_braid_word
 from .errors import ParseError
 
 
@@ -302,17 +295,19 @@ def vector_from_triple(triple: TmTriple) -> LorenzVector:
     return LorenzVector(_merge_runs(ll + lr))
 
 
+def _x_letters(triple: TmTriple) -> tuple[int, ...]:
+    """The letters of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the part of the
+    minimal word after its leading full twist [1,t]^t."""
+    t = triple.t
+    up = (tuple(range(1, i + 1)) * c for i, c in enumerate(triple.n, start=1))
+    down = (tuple(range(t - 1, t - i - 1, -1)) * c for i, c in enumerate(triple.m, start=1))
+    return tuple(chain.from_iterable(chain(up, down)))
+
+
 def minimal_word_from_triple(triple: TmTriple) -> BraidWord:
     """The t-strand word [1,t]^t prod [1,i+1]^n_i prod [t,t-i]^m_i."""
     t = triple.t
-    parts = [power(bracket(1, t, t), t)]
-    for i in range(1, t):
-        if triple.n[i - 1]:
-            parts.append(power(bracket(1, i + 1, t), triple.n[i - 1]))
-    for i in range(1, t):
-        if triple.m[i - 1]:
-            parts.append(power(bracket(t, t - i, t), triple.m[i - 1]))
-    return concat_all(t, parts)
+    return BraidWord(t, tuple(range(1, t)) * t + _x_letters(triple))
 
 
 def minimal_braid_word(v: LorenzVector) -> BraidWord:

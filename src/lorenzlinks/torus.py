@@ -22,8 +22,9 @@ before any word is built:
 
 Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
 (t-1)(q-t) letters.  The positive monoid is cancellative, so
-M^t = Delta^(2q) exactly when X^t = Delta^(2(q-t)).  One walk over X comes
-first, then the factors of X are folded t times, stopping past 2(q-t) factors:
+M^t = Delta^(2q) exactly when X^t = Delta^(2(q-t)).  Two checks on X come
+first, each deciding only NotTorus, then the factors of X are folded t times,
+stopping past 2(q-t) factors:
 
 - crossings: label each strand of a positive word by its start position.
   Positive words equal in B_t are related by far commutations, which move no
@@ -34,12 +35,32 @@ first, then the factors of X are folded t times, stopping past 2(q-t) factors:
   over X and pi is its strand map.  The sum runs along the pair's orbit:
   exact if pi^t = id, while if not, X^t has the wrong permutation.  Either
   way a pair whose sum is not 2(q-t) makes the link NotTorus.
+- burau: rho, the reduced Burau representation (Burau 1936) in the column
+  convention of invariants.py, is a homomorphism, so conjugate braids have
+  similar matrices and equal det(rho - I).  rho(delta) = s C, where C maps
+  e_j to e_(j+1) for j < t-1 and e_(t-1) to -(e_1 + ... + e_(t-1)): the
+  companion matrix of 1 + x + ... + x^(t-1), whose roots are the t-th roots
+  of unity zeta != 1.  These are distinct, so C is diagonalisable, C^t = I,
+  rho(Delta^2) = rho(delta^t) = s^t I, and rho(delta^q) has the eigenvalues
+  (s zeta)^q.  At s = 2, with y = 2^q and d = gcd(t, q), zeta^q runs d times
+  over the (t/d)-th roots of unity as zeta runs over all t-th roots, and
+  prod_(w^m = 1) (y w - 1) = (-1)^m (1 - y^m), so
+      det(rho(delta^q) - I) = (-1)^t (1 - y^(t/d))^d / (y - 1),
+  dividing out the factor y - 1 of zeta = 1.  The left side is
+  det(rho(M) - I) = det(2^t rho(X) - I).  If they differ, M is not conjugate
+  to delta^q and the link is NotTorus; if they agree, the fold decides.
+  Integers only: each column of rho(X) at s = 2 is one integer of t-1 signed
+  slots, 3 big-integer operations a letter.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
   the t (q-t) (t-1) letters of X^t, and a simple factor has at most
   t(t-1)/2 letters, with exactly that many only for Delta, so every factor
   is Delta.  An empty X gives Torus(t, t).
+
+X's letters come from the triple (t, n, m) of the vector (lorenz.tm_triple),
+so M itself is never built.  The rungs run in the order unknot, length,
+components, tparams, crossings, burau, factor_bound, garside.
 """
 
 from __future__ import annotations
@@ -50,8 +71,8 @@ from math import gcd
 from typing import Optional
 
 from .garside import _cut, _product
-from .invariants import InvariantReport, invariant_report
-from .lorenz import LorenzVector, minimal_braid_word
+from .invariants import InvariantReport, _determinant, _digits, invariant_report
+from .lorenz import LorenzVector, _x_letters, tm_triple
 from .tlink import torus_simplify_all, vector_to_tparams
 
 
@@ -63,8 +84,9 @@ class TorusVerdict:
     kind: str  # "torus" | "not-torus" | "unknot"
     t: Optional[int] = None
     q: Optional[int] = None
-    # "unknot" | "length" | "components" | "tparams" | "crossings" | "factor_bound" |
-    # "garside"; "tparams" and "garside" decide only Torus verdicts, "crossings" only NotTorus
+    # "unknot" | "length" | "components" | "tparams" | "crossings" | "burau" |
+    # "factor_bound" | "garside"; "tparams" and "garside" decide only Torus
+    # verdicts, "crossings" and "burau" only NotTorus
     decided_by: str = field(default="garside", compare=False)
 
     def __post_init__(self) -> None:
@@ -83,7 +105,7 @@ class TorusVerdict:
 
 
 NOT_TORUS = {rung: TorusVerdict("not-torus", decided_by=rung) for rung in
-             ("length", "components", "crossings", "factor_bound")}
+             ("length", "components", "crossings", "burau", "factor_bound")}
 UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 
 
@@ -105,6 +127,33 @@ def _crossings_agree(t: int, x: tuple[int, ...], k: int) -> bool:
         if excess:
             return False
     return True
+
+
+def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
+    """The columns of rho(X) at s = 2, for X's letters x on t strands.  A column
+    is packed into one integer, slot r of b bits holding row r; the entries
+    stay below 3^|X| in size, so b = 2|X| + 2 bits keep every slot exact.
+    Columns 0 and t pad both ends."""
+    b = 2 * len(x) + 2
+    cols = [0] + [1 << (b * c) for c in range(t - 1)] + [0]
+    for i in x:
+        col = cols[i]
+        cols[i - 1] += col << 1
+        cols[i + 1] += col
+        cols[i] = -(col << 1)
+    pad = [0] * (t - 1)
+    return [(_digits(col, b) + pad)[:t - 1] for col in cols[1:t]]
+
+
+def _burau_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
+    """Whether det(2^t rho(X)(2) - I) = det(rho(delta^q)(2) - I), for X's
+    letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    # det(M - I) is the determinant of its transpose, so the columns serve as rows
+    rows = [[(e << t) - (r == c) for r, e in enumerate(col)]
+            for c, col in enumerate(_burau_at_2(t, x))]
+    y, d = 1 << q, gcd(t, q)
+    closed = (1 - y ** (t // d)) ** d // (y - 1)
+    return _determinant(rows) == (-closed if t % 2 else closed)
 
 
 def _garside_verdict(t: int, q: int, x: tuple[int, ...]) -> TorusVerdict:
@@ -129,9 +178,11 @@ def _verdict(rep: InvariantReport) -> TorusVerdict:
     if reduced.k == 1:
         r, s = reduced.pairs[0]
         return TorusVerdict("torus", min(r, s), max(r, s), decided_by="tparams")
-    x = minimal_braid_word(nv).letters[t * (t - 1):]
+    x = _x_letters(tm_triple(nv))
     if not _crossings_agree(t, x, 2 * (q - t)):
         return NOT_TORUS["crossings"]
+    if not _burau_agrees(t, q, x):
+        return NOT_TORUS["burau"]
     return _garside_verdict(t, q, x)
 
 

@@ -262,6 +262,22 @@ def test_cli_huge_dp_exits_1(capsys):
         invariant_report(parse_vector(f"2^3,{invariants.MAX_DP + 1}^2"))
 
 
+def test_cli_many_runs_exits_1(capsys):
+    # the component count rotates its list once per run, so the run count k is
+    # capped too; these runs are short, so no test value builds a long list
+    k = invariants.MAX_RUNS + 1
+    text = ",".join(str(r) for r in range(2, k + 1)) + f",{k + 1}^2"
+    for command in ("validate", "invariants", "is-torus"):
+        assert cli.main([command, text]) == 1, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err == (f"error: k = {k} runs exceeds the cap of "
+                       f"{invariants.MAX_RUNS} runs\n"), command
+    admitted = parse_vector(",".join(str(r) for r in range(2, k)) + f",{k}^2")
+    assert len(admitted.rle) == invariants.MAX_RUNS
+    assert invariant_report(admitted).vector == admitted
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"
@@ -455,7 +471,7 @@ def test_cli_json_round_trip(capsys):
     assert all(r["schema"] == REPORT_SCHEMA for r in reports)
     decided = [r["torus_decided_by"] for r in reports]
     assert decided.count(None) == 5  # the unknown rows
-    assert set(decided) == {None, "length", "components", "crossings", "factor_bound"}
+    assert set(decided) == {None, "length", "components", "crossings", "burau"}
 
     assert cli.main(["--json", "is-torus", "3^6,8^3"]) == 0
     assert json.loads(capsys.readouterr().out) == {

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    _burau_matrix,
     central_power,
     fitted_exponent,
     from_entries,
@@ -35,7 +36,14 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks.garside import nf_power
-from lorenzlinks.torus import NOT_TORUS, TorusVerdict, _crossings_agree, _garside_verdict
+from lorenzlinks.torus import (
+    NOT_TORUS,
+    TorusVerdict,
+    _burau_agrees,
+    _burau_at_2,
+    _crossings_agree,
+    _garside_verdict,
+)
 
 
 def test_verdict_type():
@@ -82,7 +90,7 @@ def test_verdict_names_its_rung():
         "6^6,8^5": ("NotTorus", "length"),
         "2^2,3^5": ("NotTorus", "components"),
         "2^12,13^23": ("NotTorus", "crossings"),
-        "2^4,3^2,6,8^2": ("NotTorus", "factor_bound"),
+        "2^4,3^2,6,8^2": ("NotTorus", "burau"),
         "3^6,8^3": ("Torus(3,14)", "tparams"),
         "2^2,4^3": ("Torus(3,5)", "garside"),
     }
@@ -92,8 +100,11 @@ def test_verdict_names_its_rung():
     # one shared verdict per rung; the rung takes no part in equality
     assert is_torus(parse_vector("2^2,3^5")) is NOT_TORUS["components"]
     assert NOT_TORUS["components"] == NOT_TORUS["factor_bound"] == TorusVerdict("not-torus")
-    # "tparams" and "garside" name only Torus verdicts, "crossings" only NotTorus
-    assert set(NOT_TORUS) == {"length", "components", "crossings", "factor_bound"}
+    # the fold, called directly, still decides the Burau rung's vector
+    assert _fold(parse_vector("2^4,3^2,6,8^2")).decided_by == "factor_bound"
+    # "tparams" and "garside" name only Torus verdicts, "crossings" and "burau"
+    # only NotTorus
+    assert set(NOT_TORUS) == {"length", "components", "crossings", "burau", "factor_bound"}
 
 
 def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
@@ -102,12 +113,21 @@ def _minimal_sizes(v: LorenzVector) -> tuple[int, int]:
     return rep.trip, rep.min_crossing_number
 
 
-def _fold(v: LorenzVector) -> TorusVerdict:
-    """The Garside fold of X^t within 2(q-t) factors, called directly, for a
-    vector that passes the length rule: M = delta^t X on t strands."""
+def _x(v: LorenzVector) -> tuple[int, int, tuple[int, ...]]:
+    """(t, q, X's letters) for a vector that passes the length rule: the
+    minimal word M = delta^t X on t strands has (t-1)q letters."""
     t, length = _minimal_sizes(v)
-    x = minimal_braid_word(v).letters[t * (t - 1):]
-    return _garside_verdict(t, length // (t - 1), x)
+    return t, length // (t - 1), minimal_braid_word(v).letters[t * (t - 1):]
+
+
+def _fold(v: LorenzVector) -> TorusVerdict:
+    """The Garside fold of X^t within 2(q-t) factors, called directly."""
+    return _garside_verdict(*_x(v))
+
+
+def _burau(v: LorenzVector) -> TorusVerdict | None:
+    """The Burau rung called directly: its NotTorus verdict, or None."""
+    return None if _burau_agrees(*_x(v)) else NOT_TORUS["burau"]
 
 
 def _pair_crossings(t: int, letters: tuple[int, ...]) -> tuple[dict, list[int]]:
@@ -162,12 +182,14 @@ def test_crossings_rung_reads_the_power():
 
 def test_cheap_rungs_agree_with_full_power():
     # Every vector that passes the length rule, decided by components, the
-    # T-parameter rewrite, the crossing counts, the factor bound or a fold
-    # within 2(q-t) factors, against the full power M^t.  At least 2,000
-    # draws, and on until every rung's floor is met.
+    # T-parameter rewrite, the crossing counts, the Burau determinant or a fold
+    # within 2(q-t) factors, against the full power M^t; the fold, called
+    # directly on each vector the Burau rung decides, must give the factor
+    # bound, so the "burau" floor is one of factor-bound folds too.  At least
+    # 2,000 draws, and on until every floor is met.
     rng = random.Random(17)
     rungs = collections.Counter()
-    floors = {"components": 300, "crossings": 200, "factor_bound": 200, "tparams": 1, "garside": 1}
+    floors = {"components": 300, "crossings": 200, "burau": 200, "tparams": 1, "garside": 1}
     while sum(rungs.values()) < 2000 or any(rungs[r] < n for r, n in floors.items()):
         v = random_normalized_vector(rng, max_p=18, max_r=8)
         t, length = _minimal_sizes(v)
@@ -181,6 +203,8 @@ def test_cheap_rungs_agree_with_full_power():
         assert verdict.is_torus == full, (v, verdict.decided_by)
         assert (verdict.decided_by in ("tparams", "garside")) == full, (v, verdict.decided_by)
         assert str(verdict) == (f"Torus({t},{q})" if full else "NotTorus"), v
+        if verdict.decided_by == "burau":
+            assert _fold(v).decided_by == "factor_bound", v
     assert all(rungs[r] >= n for r, n in floors.items()), rungs
 
 
@@ -250,8 +274,8 @@ def test_census_rung_histogram():
         is_torus(entry.vector).decided_by for entry in load_census() if entry.known
     )
     # every census row that passes the length rule is NotTorus, by components,
-    # the crossing counts or the factor bound, so none is decided by "garside"
-    assert rungs == {"length": 72, "components": 11, "crossings": 3, "factor_bound": 21}
+    # the crossing counts or the Burau determinant, so none reaches the fold
+    assert rungs == {"length": 72, "components": 11, "crossings": 3, "burau": 21}
 
 
 def test_long_vectors_decided_by_components():
@@ -370,3 +394,59 @@ def test_envelope_of_the_factor_bound_fold():
 @pytest.mark.slow
 def test_envelope_of_the_crossings_rung():
     _envelope(is_torus, "crossings")
+
+
+@pytest.mark.slow
+def test_envelope_of_the_burau_rung():
+    # The crossings rung decides these knots in is_torus; this times the
+    # Burau rung on the same vectors, called directly.
+    _envelope(_burau, "burau")
+
+
+def _at_2(poly: LaurentPoly) -> int:
+    return sum(c << e for e, c in poly.terms)
+
+
+def test_burau_columns_match_the_polynomial_matrix():
+    # The packed build of the Burau rung against the Laurent-polynomial route
+    # of the tests, evaluated at s = 2, on seeded words and an empty X.
+    rng = random.Random(47)
+    for j in range(300):
+        t = 2 + j % 9
+        x = tuple(rng.randint(1, t - 1) for _ in range(rng.randint(0, 90) if j >= 9 else 0))
+        want = [[_at_2(e) for e in col] for col in _burau_matrix(BraidWord(t, x))]
+        assert _burau_at_2(t, x) == want, (t, x)
+
+
+def test_burau_closed_form_is_the_power_of_delta():
+    # X = delta^(q-t) makes M = delta^q, so the two sides of the rung must
+    # agree, and the closed form for q + 1 must differ from them.
+    for t in range(2, 13):
+        for q in range(t, 45):
+            x = periodic_word(t, q - t).letters
+            assert _burau_agrees(t, q, x), (t, q)
+            assert not _burau_agrees(t, q + 1, x), (t, q)
+
+
+def test_burau_rung_is_sound():
+    # Conjugate braids have equal det(rho - I), so the rung, called directly
+    # on every vector that passes the length rule, agrees on every Torus
+    # verdict, and the fold, called directly, gives the factor bound wherever
+    # it does not.  On these draws it refuses every vector that an earlier
+    # NotTorus rung decides, and leaves none to the fold.
+    rng = random.Random(5)
+    seen = collections.Counter()
+    for _ in range(3000):
+        v = random_normalized_vector(rng, max_p=24, max_r=9)
+        t, length = _minimal_sizes(v)
+        if length % (t - 1):
+            continue
+        verdict = is_torus(v)
+        agrees = _burau(v) is None
+        seen[verdict.decided_by, agrees] += 1
+        assert agrees == verdict.is_torus, (v, verdict.decided_by)
+        if not agrees:
+            assert _fold(v).decided_by == "factor_bound", v
+    assert seen["burau", False] >= 50 and seen["crossings", False] >= 150, seen
+    assert seen["tparams", True] >= 500 and seen["garside", True] >= 30, seen
+    assert seen["factor_bound", False] == 0, seen
