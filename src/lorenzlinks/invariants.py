@@ -19,18 +19,22 @@ The Burau route runs on integers at one packed point t = 2^B, with B set
 from the matrix's own column sums, and reads the coefficients back as signed
 base-2^B digits (Kronecker substitution).  Leading full twists, which start
 every minimal word, are central and enter as the scalar t^n; only the letters
-after them are multiplied out, at a width set by those letters.
+after them are multiplied out, at a width set by those letters.  The matrix R
+of those letters is built by rows from the last letter back, one row per
+letter, and its column sums still bound it.  Morton's formula runs on one
+dense coefficient list, and each of its two divisions is one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .braid import BraidWord, Permutation, cycle_count
 from .errors import UnsupportedInput
-from .laurent import LaurentPoly, normalize_units
+from .laurent import LaurentPoly
 from .lorenz import (
     UNKNOT,
     LorenzVector,
@@ -41,6 +45,7 @@ from .lorenz import (
 
 MAX_DP = 100_000  # the T-braid strands that mu is counted on, a list of d_p entries
 MAX_RUNS = 100  # the k rotations of that list, which copy up to k * d_p entries
+MAX_MORTON_DEGREE = 1_000_000  # pq + 2m, the degree of the bracket in Morton's formula
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -172,7 +177,9 @@ def morton_alexander(m: int, p: int, q: int) -> LaurentPoly:
         -----------------------------------------------------------------
                               (t^p - 1)(t^q - 1)
 
-    The division is always exact; a remainder signals an implementation bug.
+    evaluated on one coefficient list of pq + 2m + 2 entries, so pq + 2m is
+    capped at MAX_MORTON_DEGREE.  The division is always exact; a remainder
+    signals an implementation bug.
     """
     if m < 1:
         raise ValueError("need at least one full twist (m >= 1)")
@@ -180,20 +187,36 @@ def morton_alexander(m: int, p: int, q: int) -> LaurentPoly:
         raise ValueError("torus parameters must be at least 2")
     if math.gcd(p, q) != 1:
         raise UnsupportedInput(f"gcd({p},{q}) != 1: formula needs a knot base")
+    top = p * q + 2 * m
+    if top > MAX_MORTON_DEGREE:
+        raise UnsupportedInput(
+            f"pq + 2m = {top} exceeds the cap of {MAX_MORTON_DEGREE} for Morton's formula")
     u = (-pow(q, -1, p)) % p
     v = pow(p, -1, q)
-    a, b = p * v, (p - u) * q
-    one = LaurentPoly.one()
-    t = LaurentPoly.t_power(1)
-    even = LaurentPoly.from_dict({2 * j: 1 for j in range(m)})
-    inner = (
-        one
-        - (one - t) * even * (LaurentPoly.t_power(a) + LaurentPoly.t_power(b))
-        - LaurentPoly.t_power(p * q + 2 * m)
-    )
-    num = (one - t) * inner
-    den = (LaurentPoly.t_power(p) - one) * (LaurentPoly.t_power(q) - one)
-    return normalize_units(num.exact_div(den))
+    # (1-t)(1 + t^2 + ... + t^(2m-2)) = 1 - t + t^2 - ... - t^(2m-1), so the
+    # bracket has 2 + 4m terms; the numerator is (1-t) times it.
+    bracket = [0] * (top + 1)
+    bracket[0], bracket[top] = 1, -1
+    for e in (p * v, (p - u) * q):
+        for j in range(2 * m):
+            bracket[e + j] -= 1 - 2 * (j % 2)
+    num = [x - y for x, y in zip(bracket + [0], [0] + bracket)]
+    # The two sign changes cancel, so divide by 1 - t^k for k = p, q: one pass,
+    # quot_i = num_i + quot_(i-k), whose top k entries must vanish.
+    for k in (p, q):
+        for r in range(k):
+            num[r::k] = accumulate(num[r::k])
+        if any(num[-k:]):
+            raise ArithmeticError("inexact polynomial division")
+        del num[-k:]
+    return _unit_normal(num)
+
+
+def _unit_normal(coeffs: list[int]) -> LaurentPoly:
+    """normalize_units of the polynomial with these coefficients, lowest first."""
+    terms = [(e, c) for e, c in enumerate(coeffs) if c]
+    low, sign = (terms[0][0], -1 if terms[0][1] < 0 else 1) if terms else (0, 1)
+    return LaurentPoly(tuple((e - low, sign * c) for e, c in terms))
 
 
 def _digits(x: int, bits: int) -> list[int]:
@@ -255,32 +278,30 @@ def burau_alexander(
     lead = copies - copies % n
     rest = letters[lead * (n - 1):]
     # sigma_i differs from the identity only in row i (t, -t, 1 at columns i-1,
-    # i, i+1), so it adds column i to its neighbours; the same update on sums
-    # bounds each column's coefficients.  Columns 0 and n pad both ends.
+    # i, i+1), so on the left it sets row i to t (row i-1 - row i) + row i+1,
+    # and R is built by rows from the last letter back.  On the right it adds
+    # column i to its neighbours; the same update on sums bounds each column
+    # of R.  Rows and sums 0 and n pad both ends.
     sums = [1] * (n + 1)
     for i in rest:
         sums[i - 1] += sums[i]
         sums[i + 1] += sums[i]
     b = max(sums[1:n]).bit_length() + 2
-    cols = [[int(r == c) for r in range(1, n)] for c in range(n + 1)]
-    for i in rest:
-        col = cols[i]
-        cols[i - 1] = [a + (x << b) for a, x in zip(cols[i - 1], col)]
-        cols[i + 1] = [a + x for a, x in zip(cols[i + 1], col)]
-        cols[i] = [-(x << b) for x in col]
-    entries = [[_digits(x, b) for x in cols[c]] for c in range(1, n)]  # R
+    rows = [[int(r == c) for c in range(1, n)] for r in range(n + 1)]
+    for i in reversed(rest):
+        rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
+    entries = [[_digits(x, b) for x in rows[r]] for r in range(1, n)]  # R
     # L1(R column) + 1 bounds the column of M - I, exactly when lead > 0: the
     # -1 has degree 0 and every term of t^lead * R has degree >= n.
-    bound = 2 * math.prod(sum(abs(d) for e in c for d in e) + 1 for c in entries)
+    bound = 2 * math.prod(sum(abs(d) for e in c for d in e) + 1 for c in zip(*entries))
     big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
-    # det(M - I) is the determinant of its transpose, so the columns serve as rows
     det = _determinant([[(sum(d << (big * j) for j, d in enumerate(e)) << (big * lead))
-                         - (r == c) for r, e in enumerate(col, 1)]
-                        for c, col in enumerate(entries, 1)])
+                         - (r == c) for c, e in enumerate(row, 1)]
+                        for r, row in enumerate(entries, 1)])
     quot, rem = divmod(det, ((1 << (big * n)) - 1) // ((1 << big) - 1))
     if rem:
         raise ArithmeticError("inexact polynomial division")
-    poly = normalize_units(LaurentPoly.from_dict(dict(enumerate(_digits(quot, big)))))
+    poly = _unit_normal(_digits(quot, big))
     ends = {abs(c) for _, c in poly.terms[:1] + poly.terms[-1:]}
     if ends != {1} or poly.span != len(w) - n + 1:
         raise AssertionError(f"Burau result is not monic of span {len(w) - n + 1}")

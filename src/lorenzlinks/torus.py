@@ -35,7 +35,7 @@ stopping past 2(q-t) factors:
   over X and pi is its strand map.  The sum runs along the pair's orbit:
   exact if pi^t = id, while if not, X^t has the wrong permutation.  Either
   way a pair whose sum is not 2(q-t) makes the link NotTorus.
-- burau: rho, the reduced Burau representation (Burau 1936) in the column
+- burau: rho, the reduced Burau representation (Burau 1936) in the
   convention of invariants.py, is a homomorphism, so conjugate braids have
   similar matrices and equal det(rho - I).  rho(delta) = s C, where C maps
   e_j to e_(j+1) for j < t-1 and e_(t-1) to -(e_1 + ... + e_(t-1)): the
@@ -49,8 +49,9 @@ stopping past 2(q-t) factors:
   dividing out the factor y - 1 of zeta = 1.  The left side is
   det(rho(M) - I) = det(2^t rho(X) - I).  If they differ, M is not conjugate
   to delta^q and the link is NotTorus; if they agree, the fold decides.
-  Integers only: each column of rho(X) at s = 2 is one integer of t-1 signed
-  slots, 3 big-integer operations a letter.
+  Integers only: each row of rho(X) at s = 2 is one integer of t-1 signed
+  slots, built from the last letter back by the row recurrence of
+  invariants.burau_alexander, 3 big-integer operations a letter.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
@@ -130,27 +131,24 @@ def _crossings_agree(t: int, x: tuple[int, ...], k: int) -> bool:
 
 
 def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
-    """The columns of rho(X) at s = 2, for X's letters x on t strands.  A column
-    is packed into one integer, slot r of b bits holding row r; the entries
-    stay below 3^|X| in size, so b = 2|X| + 2 bits keep every slot exact.
-    Columns 0 and t pad both ends."""
+    """The rows of rho(X) at s = 2, for X's letters x on t strands, built from
+    the last letter back as in invariants.burau_alexander.  A row is packed
+    into one integer, slot c of b bits holding column c; the entries stay
+    below 3^|X| in size, so b = 2|X| + 2 bits keep every slot exact.  Rows 0
+    and t pad both ends."""
     b = 2 * len(x) + 2
-    cols = [0] + [1 << (b * c) for c in range(t - 1)] + [0]
-    for i in x:
-        col = cols[i]
-        cols[i - 1] += col << 1
-        cols[i + 1] += col
-        cols[i] = -(col << 1)
+    rows = [0] + [1 << (b * r) for r in range(t - 1)] + [0]
+    for i in reversed(x):
+        rows[i] = ((rows[i - 1] - rows[i]) << 1) + rows[i + 1]
     pad = [0] * (t - 1)
-    return [(_digits(col, b) + pad)[:t - 1] for col in cols[1:t]]
+    return [(_digits(row, b) + pad)[:t - 1] for row in rows[1:t]]
 
 
 def _burau_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
     """Whether det(2^t rho(X)(2) - I) = det(rho(delta^q)(2) - I), for X's
     letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
-    # det(M - I) is the determinant of its transpose, so the columns serve as rows
-    rows = [[(e << t) - (r == c) for r, e in enumerate(col)]
-            for c, col in enumerate(_burau_at_2(t, x))]
+    rows = [[(e << t) - (r == c) for c, e in enumerate(row)]
+            for r, row in enumerate(_burau_at_2(t, x))]
     y, d = 1 << q, gcd(t, q)
     closed = (1 - y ** (t // d)) ** d // (y - 1)
     return _determinant(rows) == (-closed if t % 2 else closed)

@@ -12,6 +12,7 @@ import pytest
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
                          TmTriple, TParams, normalize_units, torus_simplify)
+from lorenzlinks.errors import UnsupportedInput
 
 
 def random_normalized_vector(
@@ -160,6 +161,44 @@ def burau_oracle(w: BraidWord) -> LaurentPoly:
         col[c] = col[c] - one
     det = _determinant(cols)
     return normalize_units(det.exact_div(LaurentPoly.from_dict({e: 1 for e in range(n)})))
+
+
+# Morton's formula as it was on Laurent polynomials, kept as the oracle for
+# the coefficient-list route in lorenzlinks.invariants.
+def morton_oracle(m: int, p: int, q: int) -> LaurentPoly:
+    """
+    Alexander polynomial of the link <2^2m, p^q> (m full twists on two strands
+    of a (p,q) torus link), up to units.
+
+    Requires gcd(p, q) = 1.  With 0 < u < p, 0 < v < q solving
+    u*q = -1 mod p and p*v = 1 mod q, and a = p*v, b = (p-u)*q:
+
+        (1-t) * (1 - (1-t)(1 + t^2 + ... + t^(2m-2))(t^a + t^b) - t^(pq+2m))
+        -----------------------------------------------------------------
+                              (t^p - 1)(t^q - 1)
+
+    The division is always exact; a remainder signals an implementation bug.
+    """
+    if m < 1:
+        raise ValueError("need at least one full twist (m >= 1)")
+    if p < 2 or q < 2:
+        raise ValueError("torus parameters must be at least 2")
+    if math.gcd(p, q) != 1:
+        raise UnsupportedInput(f"gcd({p},{q}) != 1: formula needs a knot base")
+    u = (-pow(q, -1, p)) % p
+    v = pow(p, -1, q)
+    a, b = p * v, (p - u) * q
+    one = LaurentPoly.one()
+    t = LaurentPoly.t_power(1)
+    even = LaurentPoly.from_dict({2 * j: 1 for j in range(m)})
+    inner = (
+        one
+        - (one - t) * even * (LaurentPoly.t_power(a) + LaurentPoly.t_power(b))
+        - LaurentPoly.t_power(p * q + 2 * m)
+    )
+    num = (one - t) * inner
+    den = (LaurentPoly.t_power(p) - one) * (LaurentPoly.t_power(q) - one)
+    return normalize_units(num.exact_div(den))
 
 
 # Permutation and normal-form facts that only the tests ask for.

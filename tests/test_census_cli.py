@@ -278,6 +278,15 @@ def test_cli_many_runs_exits_1(capsys):
     assert invariant_report(admitted).vector == admitted
 
 
+def test_cli_morton_degree_cap_exits_1(capsys):
+    # the degree pq + 2m = 100010002 is refused before any list is built
+    assert cli.main(["alexander", "--morton", "1", "10001", "10000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: pq + 2m = 100010002 exceeds the cap of "
+                   f"{invariants.MAX_MORTON_DEGREE} for Morton's formula\n")
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"

@@ -8,7 +8,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_raises, burau_oracle, fitted_exponent, random_normalized_vector
+from helpers import (assert_raises, burau_oracle, fitted_exponent, morton_oracle,
+                     random_normalized_vector)
 from lorenzlinks import (
     BraidWord,
     burau_alexander,
@@ -29,6 +30,7 @@ from lorenzlinks import (
     tbraid_word,
     vector_to_tparams,
 )
+from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.invariants import _determinant, _digits, _tbraid_components
 from lorenzlinks.laurent import LaurentPoly
@@ -171,6 +173,31 @@ def test_morton_rejects_common_factor():
         morton_alexander(1, 2, 4)
     with pytest.raises(UnsupportedInput):
         morton_alexander(2, 6, 3)
+
+
+def test_morton_matches_the_polynomial_oracle():
+    # The coefficient-list route against the Laurent-polynomial one, term for
+    # term, on every coprime triple with m = 1..5 and p, q = 2..15, and on one
+    # triple of degree 493.
+    triples = [(m, p, q) for m in range(1, 6) for p in range(2, 16) for q in range(2, 16)
+               if math.gcd(p, q) == 1]
+    assert len(triples) == 570
+    for m, p, q in triples + [(3, 97, 101)]:
+        assert morton_alexander(m, p, q) == morton_oracle(m, p, q), (m, p, q)
+
+
+def test_morton_degree_is_capped(monkeypatch):
+    # Morton's formula builds a list of pq + 2m + 2 coefficients, so pq + 2m
+    # is capped, and checked before any list is built.
+    cap = invariants.MAX_MORTON_DEGREE
+    for m, p, q in ((1, 10001, 10000), (10 ** 18, 2, 3), (cap // 2 - 7, 3, 5)):
+        assert_raises(lambda: morton_alexander(m, p, q), UnsupportedInput,
+                      f"pq + 2m = {p * q + 2 * m} exceeds the cap of {cap} for Morton's formula")
+    assert 3 * 5 + 2 * (cap // 2 - 7) == cap + 1
+    monkeypatch.setattr(invariants, "MAX_MORTON_DEGREE", 17)
+    assert morton_alexander(1, 3, 5) == morton_oracle(1, 3, 5)  # pq + 2m = 17
+    with pytest.raises(UnsupportedInput):
+        morton_alexander(2, 3, 5)
 
 
 def test_burau_classics():

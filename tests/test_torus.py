@@ -407,14 +407,15 @@ def _at_2(poly: LaurentPoly) -> int:
     return sum(c << e for e, c in poly.terms)
 
 
-def test_burau_columns_match_the_polynomial_matrix():
+def test_burau_rows_match_the_polynomial_matrix():
     # The packed build of the Burau rung against the Laurent-polynomial route
-    # of the tests, evaluated at s = 2, on seeded words and an empty X.
+    # of the tests, which builds columns, evaluated at s = 2, on seeded words
+    # and an empty X.
     rng = random.Random(47)
     for j in range(300):
         t = 2 + j % 9
         x = tuple(rng.randint(1, t - 1) for _ in range(rng.randint(0, 90) if j >= 9 else 0))
-        want = [[_at_2(e) for e in col] for col in _burau_matrix(BraidWord(t, x))]
+        want = [[_at_2(e) for e in row] for row in zip(*_burau_matrix(BraidWord(t, x)))]
         assert _burau_at_2(t, x) == want, (t, x)
 
 
