@@ -18,7 +18,8 @@ Conventions used throughout the package:
   a descending run of letters).
 - One spelling per word operation: bracket, power, a * b, concat_all, permutation_of_word.
 - The image-tuple helpers live here too: _inverse, shared by Permutation
-  and the Garside kernel, and cycle_count, one walk over p.image.
+  and the Garside kernel, and _cycles, the walk behind cycle_count that
+  invariants also runs on a plain list.
 
 Text format for words: a header token "n=<strands>" followed by whitespace
 separated letters, e.g. "n=3 1 2 1" for sigma_1 sigma_2 sigma_1 in B_3.
@@ -140,9 +141,9 @@ def permutation_of_word(w: BraidWord) -> Permutation:
     return Permutation.from_letters(w.strands, w.letters)
 
 
-def cycle_count(p: Permutation) -> int:
-    """Number of cycles; the component count of the closure of any word inducing p."""
-    image = p.image
+def _cycles(image: Sequence[int]) -> int:
+    """Cycles of a -> image[a-1]; every walk must close at its start, as all do
+    exactly when image, of values in 1..n, is a permutation."""
     seen = [False] * len(image)
     count = 0
     for a in range(len(image)):
@@ -152,7 +153,14 @@ def cycle_count(p: Permutation) -> int:
             while not seen[x]:
                 seen[x] = True
                 x = image[x] - 1
+            if x != a:
+                raise AssertionError(f"not a permutation: {a + 1} is on no cycle")
     return count
+
+
+def cycle_count(p: Permutation) -> int:
+    """Number of cycles; the component count of the closure of any word inducing p."""
+    return _cycles(p.image)
 
 
 def flip_word(w: BraidWord) -> BraidWord:

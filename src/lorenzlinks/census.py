@@ -13,7 +13,7 @@ of the batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -115,40 +115,19 @@ class Report:
         }
 
 
-def report(
-    vector: LorenzVector, name: str = "", notes: Iterable[str] = ()
-) -> Report:
+def report(vector: LorenzVector, name: str = "", notes: Iterable[str] = ()) -> Report:
     rep = invariant_report(vector)
-    return Report(
-        name=name,
-        vector=vector,
-        invariants=rep,
-        torus=_verdict(rep),
-        warnings=tuple(notes),
-    )
+    return Report(name, vector, rep, _verdict(rep), tuple(notes))
 
 
 def _entry_report(entry: CensusEntry) -> Report:
+    failed = Report(entry.name, entry.vector, None, None, entry.warnings, "vector unknown")
     if entry.vector is None:
-        return Report(
-            name=entry.name,
-            vector=None,
-            invariants=None,
-            torus=None,
-            warnings=entry.warnings,
-            error="vector unknown",
-        )
+        return failed
     try:
         return report(entry.vector, entry.name, entry.warnings)
     except Exception as exc:  # reported inline, never aborts the batch
-        return Report(
-            name=entry.name,
-            vector=entry.vector,
-            invariants=None,
-            torus=None,
-            warnings=entry.warnings,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(failed, error=f"{type(exc).__name__}: {exc}")
 
 
 def report_all(entries: Sequence[CensusEntry]) -> list[Report]:

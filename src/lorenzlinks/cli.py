@@ -98,16 +98,10 @@ def _cmd_tbraid(args) -> _Output:
 def _cmd_minimal(args) -> _Output:
     triple = tm_triple(parse_vector(args.vector))
     word = minimal_word_from_triple(triple)
-    payload = {
-        "word": format_word(word),
-        "strands": word.strands,
-        "length": len(word),
-        "t": triple.t,
-        "n": list(triple.n),
-        "m": list(triple.m),
-    }
-    triple_line = f"t={triple.t} n={payload['n']} m={payload['m']}"
-    return [payload["word"]], [triple_line], payload
+    n, m = list(triple.n), list(triple.m)
+    payload = {"word": format_word(word), "strands": word.strands, "length": len(word),
+               "t": triple.t, "n": n, "m": m}
+    return [payload["word"]], [f"t={triple.t} n={n} m={m}"], payload
 
 
 def _cmd_trip(args) -> _Output:

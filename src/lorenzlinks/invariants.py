@@ -19,20 +19,20 @@ The Burau route runs on integers at one packed point t = 2^B, with B set
 from the matrix's own column sums, and reads the coefficients back as signed
 base-2^B digits (Kronecker substitution).  Leading full twists, which start
 every minimal word, are central and enter as the scalar t^n; only the letters
-after them are multiplied out, at a width set by those letters.  The matrix R
-of those letters is built by rows from the last letter back, one row per
-letter, and its column sums still bound it.  Morton's formula runs on one
-dense coefficient list, and each of its two divisions is one pass.
+after them are multiplied out, by rows from the last letter back, at a width
+set by those letters.  Morton's formula runs on one dense coefficient list,
+and each of its two divisions is one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Optional
 
-from .braid import BraidWord, Permutation, cycle_count
+from .braid import BraidWord, _cycles
 from .errors import UnsupportedInput
 from .laurent import LaurentPoly
 from .lorenz import (
@@ -72,35 +72,17 @@ class InvariantReport:
         return self.crossings.get("t", 0) <= self.t_braid_crossing_bound
 
     def to_dict(self) -> dict:
-        return {
-            "vector": None if self.vector is None else format_vector(self.vector),
-            "components": self.components,
-            "genus": self.genus,
-            "unknotting_number": self.unknotting_number,
-            "trip": self.trip,
-            "c_minus_n": self.c_minus_n,
-            "crossings": dict(self.crossings),
-            "braid_indices": dict(self.braid_indices),
-            "min_crossing_number": self.min_crossing_number,
-            "degree_prediction": self.degree_prediction,
-            "t_braid_crossing_bound": self.t_braid_crossing_bound,
-            "bound_holds": self.bound_holds,
-        }
+        """The fields in order, the vector as text, then bound_holds."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "vector": None if self.vector is None else format_vector(self.vector),
+                "crossings": dict(self.crossings), "braid_indices": dict(self.braid_indices),
+                "bound_holds": self.bound_holds}
 
 
-_UNKNOT_REPORT = InvariantReport(
-    vector=None,
-    components=1,
-    genus=0,
-    unknotting_number=0,
-    trip=None,
-    c_minus_n=-1,  # one strand, no crossings
-    crossings={},
-    braid_indices={},
-    min_crossing_number=0,
-    degree_prediction=0,
-    t_braid_crossing_bound=0,
-)
+_UNKNOT_REPORT = InvariantReport(  # one strand, no crossings
+    vector=None, components=1, genus=0, unknotting_number=0, trip=None, c_minus_n=-1,
+    crossings={}, braid_indices={}, min_crossing_number=0, degree_prediction=0,
+    t_braid_crossing_bound=0)
 
 
 def _tbraid_components(nv: LorenzVector) -> int:
@@ -123,7 +105,21 @@ def _tbraid_components(nv: LorenzVector) -> int:
     for r, s in nv.rle:
         s %= r
         a[:r] = a[s:r] + a[:s]
-    return cycle_count(Permutation(tuple(a)))
+    return _cycles(a)
+
+
+# What the torus verdict reads, named as in InvariantReport: the normalized
+# vector (None for the unknot), t, |M| and mu.
+_Counts = namedtuple("_Counts", "vector trip min_crossing_number components")
+
+
+def _counts(v: LorenzVector) -> _Counts:
+    """t, |M| = S - p - d_p + t and mu, for invariant_report and is_torus."""
+    nv = normalize(v)
+    if nv is UNKNOT:
+        return _Counts(None, None, 0, 1)
+    t = trip_number(nv)
+    return _Counts(nv, t, nv.total - nv.p - nv.dp + t, _tbraid_components(nv))
 
 
 def invariant_report(v: LorenzVector) -> InvariantReport:
@@ -137,12 +133,10 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     rotations of d_p strands, and S, p, d_p and t are read from the k runs,
     so no entry is expanded.
     """
-    nv = normalize(v)
-    if nv is UNKNOT:
+    nv, t, length, mu = _counts(v)
+    if nv is None:
         return _UNKNOT_REPORT
-    mu = _tbraid_components(nv)
-    total, p, dp, t = nv.total, nv.p, nv.dp, trip_number(nv)
-    cmn = total - p - dp
+    total, p, dp, cmn = nv.total, nv.p, nv.dp, length - t
     crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,
                  "minimal": cmn + t}
     braid_indices = {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t}
@@ -243,6 +237,24 @@ def _determinant(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1]
 
 
+def _burau_rows(n: int, letters: tuple[int, ...]) -> list[list[list[int]]]:
+    """The rows of rho of the word on n strands, each entry a coefficient list,
+    lowest first.  sigma_i differs from the identity only in row i (t, -t, 1
+    at columns i-1, i, i+1), so on the left it sets row i to t (row i-1 -
+    row i) + row i+1: the rows are built from the last letter back, packed at
+    t = 2^b.  On the right it adds column i to its neighbours; the same update
+    on sums bounds each column, and so sets b.  Rows and sums 0, n pad both ends."""
+    sums = [1] * (n + 1)
+    for i in letters:
+        sums[i - 1] += sums[i]
+        sums[i + 1] += sums[i]
+    b = max(sums[1:n]).bit_length() + 2
+    rows = [[int(r == c) for c in range(1, n)] for r in range(n + 1)]
+    for i in reversed(letters):
+        rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
+    return [[_digits(x, b) for x in rows[r]] for r in range(1, n)]
+
+
 def burau_alexander(
     w: BraidWord, *, max_strands: int = 10, max_letters: int = 120
 ) -> LaurentPoly:
@@ -277,20 +289,7 @@ def burau_alexander(
         copies += 1
     lead = copies - copies % n
     rest = letters[lead * (n - 1):]
-    # sigma_i differs from the identity only in row i (t, -t, 1 at columns i-1,
-    # i, i+1), so on the left it sets row i to t (row i-1 - row i) + row i+1,
-    # and R is built by rows from the last letter back.  On the right it adds
-    # column i to its neighbours; the same update on sums bounds each column
-    # of R.  Rows and sums 0 and n pad both ends.
-    sums = [1] * (n + 1)
-    for i in rest:
-        sums[i - 1] += sums[i]
-        sums[i + 1] += sums[i]
-    b = max(sums[1:n]).bit_length() + 2
-    rows = [[int(r == c) for c in range(1, n)] for r in range(n + 1)]
-    for i in reversed(rest):
-        rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
-    entries = [[_digits(x, b) for x in rows[r]] for r in range(1, n)]  # R
+    entries = _burau_rows(n, rest)  # R
     # L1(R column) + 1 bounds the column of M - I, exactly when lead > 0: the
     # -1 has degree 0 and every term of t^lead * R has degree >= n.
     bound = 2 * math.prod(sum(abs(d) for e in c for d in e) + 1 for c in zip(*entries))

@@ -260,21 +260,12 @@ class TmTriple:
 
 
 def tm_triple(v: LorenzVector) -> TmTriple:
-    """
-    The triple (t, n, m): n_i counts LL strands with d_j = i+1, the rows of
-    length i+1 below the Durfee square, and m_i RR strands, the columns of
-    height i+1 right of it: the rows below the square of the dual (k runs).
-    """
+    """The triple (t, n, m) of the normalized v: the counts of X's blocks."""
     t = trip_number(v)  # requires v normalized
-    return TmTriple(t, _rows_below(v, t), _rows_below(dual_vector(v), t))
-
-
-def _rows_below(v: LorenzVector, t: int) -> tuple[int, ...]:
-    """Rows of length 2..t below the Durfee square of side t: every row
-    shorter than t lies below it, and p - t rows do in all."""
-    runs = dict(v.rle)
-    short = [runs.get(x, 0) for x in range(2, t)]
-    return tuple(short + [v.p - t - sum(short)])
+    n, m = [0] * (t - 1), [0] * (t - 1)
+    for i, c, up in _x_blocks(v, t):
+        (n if up else m)[i - 1] = c
+    return TmTriple(t, tuple(n), tuple(m))
 
 
 def vector_from_triple(triple: TmTriple) -> LorenzVector:
@@ -295,19 +286,36 @@ def vector_from_triple(triple: TmTriple) -> LorenzVector:
     return LorenzVector(_merge_runs(ll + lr))
 
 
-def _x_letters(triple: TmTriple) -> tuple[int, ...]:
-    """The letters of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the part of the
-    minimal word after its leading full twist [1,t]^t."""
-    t = triple.t
-    up = (tuple(range(1, i + 1)) * c for i, c in enumerate(triple.n, start=1))
-    down = (tuple(range(t - 1, t - i - 1, -1)) * c for i, c in enumerate(triple.m, start=1))
-    return tuple(chain.from_iterable(chain(up, down)))
+def _x_blocks(v: LorenzVector, t: int) -> list[tuple[int, int, bool]]:
+    """
+    The blocks (i, count, up) of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the
+    minimal word after its full twist [1,t]^t, from the runs of the normalized
+    v with trip number t.  Up-blocks are rows below the Durfee square: s rows
+    of length r per run r < t, the rest of the p - t of length t.  Down-blocks
+    are columns right of it: r - max(r_prev, t) of height H, the entries from
+    that run up, per run r > t; H falls run by run, so these come reversed.
+    """
+    up, down, below, height, prev = [], [], v.p - t, v.p, 0
+    for r, s in v.rle:
+        if r < t:
+            up.append((r - 1, s, True))
+            below -= s
+        elif r > t:
+            down.append((height - 1, r - max(prev, t), False))
+        height, prev = height - s, r
+    return up + [(t - 1, below, True)] + down[::-1]
+
+
+def _x_letters(v: LorenzVector, t: int) -> tuple[int, ...]:
+    """X's letters, block by block: [1,i+1] is 1..i and [t,t-i] is t-1..t-i."""
+    return tuple(chain.from_iterable(
+        (tuple(range(1, i + 1)) if up else tuple(range(t - 1, t - i - 1, -1))) * c
+        for i, c, up in _x_blocks(v, t)))
 
 
 def minimal_word_from_triple(triple: TmTriple) -> BraidWord:
     """The t-strand word [1,t]^t prod [1,i+1]^n_i prod [t,t-i]^m_i."""
-    t = triple.t
-    return BraidWord(t, tuple(range(1, t)) * t + _x_letters(triple))
+    return minimal_braid_word(vector_from_triple(triple))
 
 
 def minimal_braid_word(v: LorenzVector) -> BraidWord:
@@ -318,7 +326,8 @@ def minimal_braid_word(v: LorenzVector) -> BraidWord:
     link.  Distinct vectors may share this word (for t = 2 it collapses to
     sigma_1^(2 + n_1 + m_1)).
     """
-    return minimal_word_from_triple(tm_triple(v))
+    t = trip_number(v)  # requires v normalized
+    return BraidWord(t, tuple(range(1, t)) * t + _x_letters(v, t))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
 is_torus reads t, |M| and the component count mu, closed forms in the vector,
-from invariants.invariant_report; census.report passes its own report to the
-same decision, so nothing is counted twice.
+from invariants._counts, the helper invariant_report builds on; census.report
+passes its own report to the same decision, so nothing is counted twice.
 The minimal word begins with [1,t]^t, which has t(t-1) letters, so q >= t
 needs no test.  After the unknot and the length rule, two cheap rungs come
 before any word is built:
@@ -17,8 +17,11 @@ before any word is built:
 - components: delta^q permutes the strands as the q-th power of a t-cycle,
   so T(t, q) has gcd(t, q) components; mu is counted without a word.
 - tparams: the run-length pairs of the vector are T-parameters, and when
-  the torus rewrite (tlink.torus_simplify_all) leaves one pair (r, s), the
-  closure is T(r, s).  That happens only for k = 1 or a merge from k = 2.
+  the torus rewrite (tlink.torus_simplify) leaves one pair (r, s), the
+  closure is T(r, s).  A rewrite turns the last canonical pair to (s_k, r_k),
+  so it lowers k only by merging that pair into the one before, which needs
+  s_k = r_(k-1).  So one pair is left only for k = 1, or for k = 2 with
+  s_2 = r_1 and r_1 | s_1, giving T(r_1, s_1 + r_2): an O(1) test on the runs.
 
 Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
 (t-1)(q-t) letters.  The positive monoid is cancellative, so
@@ -49,9 +52,6 @@ stopping past 2(q-t) factors:
   dividing out the factor y - 1 of zeta = 1.  The left side is
   det(rho(M) - I) = det(2^t rho(X) - I).  If they differ, M is not conjugate
   to delta^q and the link is NotTorus; if they agree, the fold decides.
-  Integers only: each row of rho(X) at s = 2 is one integer of t-1 signed
-  slots, built from the last letter back by the row recurrence of
-  invariants.burau_alexander, 3 big-integer operations a letter.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
@@ -59,9 +59,9 @@ stopping past 2(q-t) factors:
   t(t-1)/2 letters, with exactly that many only for Delta, so every factor
   is Delta.  An empty X gives Torus(t, t).
 
-X's letters come from the triple (t, n, m) of the vector (lorenz.tm_triple),
-so M itself is never built.  The rungs run in the order unknot, length,
-components, tparams, crossings, burau, factor_bound, garside.
+X's letters come from the runs (lorenz._x_letters), so M is never built.  The
+rungs run in the order unknot, length, components, tparams, crossings, burau,
+factor_bound, garside.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ from math import gcd
 from typing import Optional
 
 from .garside import _cut, _product
-from .invariants import InvariantReport, _determinant, _digits, invariant_report
-from .lorenz import LorenzVector, _x_letters, tm_triple
-from .tlink import torus_simplify_all, vector_to_tparams
+from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
+from .lorenz import LorenzVector, _x_letters
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _crossings_agree(t: int, x: tuple[int, ...], k: int) -> bool:
 
 def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
     """The rows of rho(X) at s = 2, for X's letters x on t strands, built from
-    the last letter back as in invariants.burau_alexander.  A row is packed
+    the last letter back as in invariants._burau_rows.  A row is packed
     into one integer, slot c of b bits holding column c; the entries stay
     below 3^|X| in size, so b = 2|X| + 2 bits keep every slot exact.  Rows 0
     and t pad both ends."""
@@ -161,8 +160,15 @@ def _garside_verdict(t: int, q: int, x: tuple[int, ...]) -> TorusVerdict:
     return TorusVerdict("torus", t, q)
 
 
-def _verdict(rep: InvariantReport) -> TorusVerdict:
-    """The torus verdict of the link whose invariant report is rep."""
+def _tparams_pair(rle: tuple[tuple[int, int], ...]) -> Optional[tuple[int, int]]:
+    """The one pair the torus rewrite leaves of the canonical pairs rle, else None."""
+    if len(rle) == 2 and rle[1][1] == rle[0][0] and rle[0][1] % rle[0][0] == 0:
+        return rle[0][0], rle[0][1] + rle[1][0]
+    return rle[0] if len(rle) == 1 else None
+
+
+def _verdict(rep: InvariantReport | _Counts) -> TorusVerdict:
+    """The torus verdict from an invariant report or the counts it builds on."""
     nv = rep.vector
     if nv is None:
         return UNKNOT_VERDICT
@@ -172,11 +178,10 @@ def _verdict(rep: InvariantReport) -> TorusVerdict:
     q = length // (t - 1)
     if rep.components != gcd(t, q):
         return NOT_TORUS["components"]
-    reduced = torus_simplify_all(vector_to_tparams(nv))
-    if reduced.k == 1:
-        r, s = reduced.pairs[0]
-        return TorusVerdict("torus", min(r, s), max(r, s), decided_by="tparams")
-    x = _x_letters(tm_triple(nv))
+    pair = _tparams_pair(nv.rle)
+    if pair is not None:
+        return TorusVerdict("torus", min(pair), max(pair), decided_by="tparams")
+    x = _x_letters(nv, t)
     if not _crossings_agree(t, x, 2 * (q - t)):
         return NOT_TORUS["crossings"]
     if not _burau_agrees(t, q, x):
@@ -186,4 +191,4 @@ def _verdict(rep: InvariantReport) -> TorusVerdict:
 
 def is_torus(v: LorenzVector) -> TorusVerdict:
     """Decide torus-ness of the closure; the input is normalized first."""
-    return _verdict(invariant_report(v))
+    return _verdict(_counts(v))

@@ -321,6 +321,16 @@ def tm_triple_entries(v: LorenzVector) -> TmTriple:
     return TmTriple(t, tuple(n), tuple(m))
 
 
+# Reference for lorenz._x_letters, which reads X's letters from the runs.
+def x_letters_from_triple(triple: TmTriple) -> tuple[int, ...]:
+    """The letters of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the part of the
+    minimal word after its leading full twist [1,t]^t."""
+    t = triple.t
+    up = (tuple(range(1, i + 1)) * c for i, c in enumerate(triple.n, start=1))
+    down = (tuple(range(t - 1, t - i - 1, -1)) * c for i, c in enumerate(triple.m, start=1))
+    return tuple(itertools.chain.from_iterable(itertools.chain(up, down)))
+
+
 # Reference for lorenz.normalize: the single destabilization moves, one at a time.
 def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
     """

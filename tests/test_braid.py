@@ -18,6 +18,7 @@ from lorenzlinks import (
     permutation_of_word,
     power,
 )
+from lorenzlinks.braid import _cycles
 from lorenzlinks.lorenz import lorenz_permutation
 
 
@@ -108,6 +109,14 @@ def test_cycle_count_is_the_orbit_count():
                 powers.append(then(powers[-1], p))
             orbits = {frozenset(q(a) for q in powers) for a in range(1, n + 1)}
             assert cycle_count(p) == len(orbits), image
+
+
+def test_cycle_walk_refuses_a_list_that_is_not_a_permutation():
+    # every walk of _cycles must close at its start; a repeated value leaves
+    # some walk stuck on a cycle that does not hold its start
+    for image in ((1, 1), (2, 2), (2, 3, 3), (2, 1, 1), (3, 1, 1, 4), (2, 3, 4, 2)):
+        with pytest.raises(AssertionError):
+            _cycles(list(image))
 
 
 def test_inverse_undoes_every_small_permutation():

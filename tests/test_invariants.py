@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (assert_raises, burau_oracle, fitted_exponent, morton_oracle,
+from helpers import (_burau_matrix, assert_raises, burau_oracle, fitted_exponent, morton_oracle,
                      random_normalized_vector)
 from lorenzlinks import (
     BraidWord,
@@ -32,7 +32,7 @@ from lorenzlinks import (
 )
 from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
-from lorenzlinks.invariants import _determinant, _digits, _tbraid_components
+from lorenzlinks.invariants import _burau_rows, _determinant, _digits, _tbraid_components
 from lorenzlinks.laurent import LaurentPoly
 
 
@@ -283,6 +283,19 @@ def test_burau_on_seeded_lorenz_links():
         if rep.components > 1:
             assert poly == burau_oracle(word), v
             links += 1
+
+
+def test_burau_alexander_rows_match_the_polynomial_matrix():
+    # R, decoded before the determinant, against the Laurent-polynomial
+    # matrix of the tests, which is built by columns in letter order.
+    rng = random.Random(1937)
+    for j in range(300):
+        n = 2 + j % 9
+        letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 60)))
+        want = [[dict(e.terms) for e in row] for row in zip(*_burau_matrix(BraidWord(n, letters)))]
+        got = [[{e: c for e, c in enumerate(entry) if c} for entry in row]
+               for row in _burau_rows(n, letters)]
+        assert got == want, (n, letters)
 
 
 def test_burau_links_match_polynomial_oracle():

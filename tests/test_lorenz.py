@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_raises, dual_vector_entries, from_entries, normalize_steps,
-                     random_normalized_vector, rle_loop, tm_triple_entries, trip_number_entries)
+                     random_normalized_vector, rle_loop, tm_triple_entries, trip_number_entries,
+                     x_letters_from_triple)
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
@@ -37,6 +38,7 @@ from lorenzlinks.braid import BraidWord
 from lorenzlinks.lorenz import (
     TmTriple,
     VectorOrderWarning,
+    _x_letters,
     minimal_word_from_triple,
 )
 
@@ -358,6 +360,21 @@ def test_minimal_word_examples():
     expected = (1, 2) * 3 + (1,) * 4 + (1, 2) * 2 + (2,) * 2 + (2, 1) * 3
     assert w.letters == expected
     assert minimal_braid_word(parse_vector("2^2")).letters == (1, 1)
+
+
+def test_x_letters_from_the_runs_match_the_triple():
+    # X read from the runs against X read from the triple (t, n, m) that the
+    # entry-based oracle counts, on seeded vectors with runs below, at and
+    # above t, and on every small triple.
+    rng = random.Random(31)
+    vectors = [random_normalized_vector(rng, max_p=40, max_r=16, max_k=6) for _ in range(1500)]
+    vectors += [vector_from_triple(TmTriple(t, n, m)) for t in range(2, 5)
+                for n in itertools.product(range(3), repeat=t - 1)
+                for m in itertools.product(range(3), repeat=t - 1)]
+    for v in vectors:
+        tr = tm_triple_entries(v)
+        assert _x_letters(v, tr.t) == x_letters_from_triple(tr), v
+        assert minimal_word_from_triple(tm_triple(v)) == minimal_braid_word(v), v
 
 
 def test_minimal_word_t2_collapse():

@@ -43,6 +43,7 @@ from lorenzlinks.torus import (
     _burau_at_2,
     _crossings_agree,
     _garside_verdict,
+    _tparams_pair,
 )
 
 
@@ -230,6 +231,26 @@ def test_tparams_reduction_agrees_with_the_fold():
         elif fold.is_torus:
             residue += 1
     assert reduced_count >= 300 and residue >= 20, (reduced_count, residue)
+
+
+def test_tparams_rule_on_the_runs_is_the_rewrite():
+    # The O(1) rule of the T-parameter rung against the rewrite it replaces:
+    # one pair is left for the same vectors, and it is the same pair.  Seeded
+    # vectors, with k = 2 vectors built to meet s_2 = r_1 half the time.
+    rng = random.Random(53)
+    left = 0
+    for j in range(4000):
+        v = random_normalized_vector(rng, max_p=30, max_r=12, max_k=5)
+        if j % 2 and len(v.rle) == 2:
+            (r1, s1), (r2, _) = v.rle
+            v = LorenzVector(((r1, s1 if j % 4 == 1 else r1 * rng.randint(1, 4)), (r2, r1)))
+        reduced = torus_simplify_all(vector_to_tparams(v))
+        pair = _tparams_pair(v.rle)
+        assert (pair is not None) == (reduced.k == 1), v
+        if pair is not None:
+            assert pair == reduced.pairs[0], v
+            left += len(v.rle) == 2
+    assert left >= 100, left
 
 
 def _torus_alexander(t: int, q: int) -> LaurentPoly:
