@@ -23,13 +23,12 @@ from . import census as census_mod
 from .braid import BraidWord, format_word, parse_word, permutation_braid_word
 from .errors import ParseError
 from .garside import normal_form, words_equal
-from .invariants import burau_alexander, invariant_report, morton_alexander
+from .invariants import _check_burau_size, burau_alexander, invariant_report, morton_alexander
 from .lorenz import (
     UNKNOT,
     dual_vector,
     format_vector,
     minimal_braid_word,
-    minimal_word_from_triple,
     normalize,
     parse_vector,
     tm_triple,
@@ -96,8 +95,8 @@ def _cmd_tbraid(args) -> _Output:
 
 
 def _cmd_minimal(args) -> _Output:
-    triple = tm_triple(parse_vector(args.vector))
-    word = minimal_word_from_triple(triple)
+    v = parse_vector(args.vector)
+    triple, word = tm_triple(v), minimal_braid_word(v)
     n, m = list(triple.n), list(triple.m)
     payload = {"word": format_word(word), "strands": word.strands, "length": len(word),
                "t": triple.t, "n": n, "m": m}
@@ -135,8 +134,9 @@ def _cmd_alexander(args) -> _Output:
         m, p, q = args.morton
         poly = morton_alexander(m, p, q)
     else:
-        v = normalize(parse_vector(args.burau))
-        poly = burau_alexander(BraidWord(1) if v is UNKNOT else minimal_braid_word(v))
+        rep = invariant_report(parse_vector(args.burau))  # t and |M| before any word
+        _check_burau_size(rep.trip or 1, rep.min_crossing_number)
+        poly = burau_alexander(BraidWord(1) if rep.is_unknot else minimal_braid_word(rep.vector))
     payload = {"alexander": str(poly), "terms": [list(t) for t in poly.terms]}
     return [str(poly)], [], payload
 

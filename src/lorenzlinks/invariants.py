@@ -46,6 +46,8 @@ from .lorenz import (
 MAX_DP = 100_000  # the T-braid strands that mu is counted on, a list of d_p entries
 MAX_RUNS = 100  # the k rotations of that list, which copy up to k * d_p entries
 MAX_MORTON_DEGREE = 1_000_000  # pq + 2m, the degree of the bracket in Morton's formula
+MAX_BURAU_STRANDS = 10  # burau_alexander's default caps, which admit the minimal word
+MAX_BURAU_LETTERS = 120  # of every known census knot: at most 9 strands, 116 letters
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -255,27 +257,30 @@ def _burau_rows(n: int, letters: tuple[int, ...]) -> list[list[list[int]]]:
     return [[_digits(x, b) for x in rows[r]] for r in range(1, n)]
 
 
-def burau_alexander(
-    w: BraidWord, *, max_strands: int = 10, max_letters: int = 120
-) -> LaurentPoly:
+def _check_burau_size(strands: int, letters: int, max_strands: int = MAX_BURAU_STRANDS,
+                      max_letters: int = MAX_BURAU_LETTERS) -> None:
+    """Refuse a word of this size before the Burau route builds anything."""
+    if strands > max_strands or letters > max_letters:
+        raise UnsupportedInput(
+            f"word too large for the Burau oracle ({strands} strands, {letters} letters)")
+
+
+def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
+                    max_letters: int = MAX_BURAU_LETTERS) -> LaurentPoly:
     """
     Alexander polynomial of the closure of w, up to units, via the reduced
     Burau determinant: det(rho(w) - I) divided by 1 + t + ... + t^(n-1).
 
     Knots and links alike are accepted; a word missing some sigma_i closes
-    to a split link, whose Delta is 0, and is refused.  Input size is capped
-    by default since the determinant cost grows quickly.  The default caps,
-    10 strands and 120 letters, admit the minimal word of every known census
-    knot: the longest has 116 letters and the widest 9 strands.  Non-split
-    closures of positive braids are fibred: Delta must be monic of span
-    len(w) - n + 1, which is 2g + mu - 1.  Leading full twists enter as t^n
-    each, and the packing width b comes from the letters after them.
+    to a split link, whose Delta is 0, and is refused.  _check_burau_size caps
+    the size, since the determinant cost grows quickly; the CLI runs it on t
+    and |M| before it builds a minimal word.  Non-split closures of positive
+    braids are fibred: Delta must be monic of span len(w) - n + 1, which is
+    2g + mu - 1.  Leading full twists enter as t^n each, and the packing
+    width b comes from the letters after them.
     """
     n = w.strands
-    if n > max_strands or len(w) > max_letters:
-        raise UnsupportedInput(
-            f"word too large for the Burau oracle ({n} strands, {len(w)} letters)"
-        )
+    _check_burau_size(n, len(w), max_strands, max_letters)
     if len(set(w.letters)) != n - 1:
         raise UnsupportedInput("closure is split")
     if n == 1:

@@ -313,14 +313,9 @@ def _x_letters(v: LorenzVector, t: int) -> tuple[int, ...]:
         for i, c, up in _x_blocks(v, t)))
 
 
-def minimal_word_from_triple(triple: TmTriple) -> BraidWord:
-    """The t-strand word [1,t]^t prod [1,i+1]^n_i prod [t,t-i]^m_i."""
-    return minimal_braid_word(vector_from_triple(triple))
-
-
 def minimal_braid_word(v: LorenzVector) -> BraidWord:
     """
-    The minimal braid-index representation, on t strands.
+    The minimal braid-index word [1,t]^t prod [1,i+1]^n_i prod [t,t-i]^m_i on t strands.
 
     Its letter count is S + t - p - d_p, the minimal crossing number of the
     link.  Distinct vectors may share this word (for t = 2 it collapses to

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from lorenzlinks import (
     is_torus,
     load_census,
     minimal_braid_word,
+    normalize,
     parse_vector,
     report,
     report_all,
@@ -317,6 +320,64 @@ def test_cli_alexander_burau_covers_census(capsys):
         assert span == 2 * invariant_report(entry.vector).genus, entry.name
 
 
+def test_cli_alexander_burau_checks_the_caps_before_the_word(capsys):
+    # t and |M| come from the vector's invariant report, so a word over the
+    # caps is refused before it is built: a million letters and a billion
+    # alike, with the word route's one error line
+    for n in (10 ** 6, 10 ** 9):
+        tracemalloc.start()
+        try:
+            code = cli.main(["alexander", "--burau", f"2^{n},3^2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: word too large for the Burau oracle (2 strands, {n + 3} letters)\n")
+    # words small enough to build get the same output as burau_alexander's check
+    for text, size in (("2^200,3^2", (2, 203)), ("11^12", (11, 120))):
+        word = minimal_braid_word(normalize(parse_vector(text)))
+        assert (word.strands, len(word)) == size
+        with pytest.raises(UnsupportedInput) as exc:
+            burau_alexander(word)
+        assert cli.main(["alexander", "--burau", text]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_census_rows_are_distinct_knots():
+    # no two known rows are one knot: (genus, trip, Burau Delta) tells all 107
+    # apart, where (genus, trip) alone gives 90 classes; a misprinted row that
+    # lands on another row's knot fails here
+    classes = set()
+    for entry in load_census():
+        if entry.known:
+            rep = invariant_report(entry.vector)
+            delta = burau_alexander(minimal_braid_word(rep.vector))
+            classes.add((rep.genus, rep.trip, delta.terms))
+    assert len(classes) == 107
+    assert len({(genus, trip) for genus, trip, _ in classes}) == 90
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block exits 0, and the two outputs its
+    # comments name are the ones printed
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("lorenzlinks ")]
+    assert len(commands) == 16
+    (tmp_path / "mydata.txt").write_text("fav 2^4,3^2,6,8^2\nmystery ?\n")
+    monkeypatch.chdir(tmp_path)
+    named = {"normalize": "Unknot", "is-torus": "Torus(3,14)"}
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if argv[0] in named:
+            assert named[argv[0]] in line.split("#", 1)[1], line
+            assert out == named[argv[0]] + "\n", line
+
+
 def test_cli_is_torus_unknot(capsys):
     assert cli.main(["is-torus", "1,1,7"]) == 0
     assert capsys.readouterr().out.strip() == "Unknot"
@@ -502,8 +563,9 @@ def test_cli_census_text(capsys):
 
 
 # Small argv for every subcommand but census: a stray character now and then
-# makes a parse error, and no exponent is large (tbraid, minimal and alexander
-# build words of about S letters).
+# makes a parse error, and no exponent is large (tbraid and minimal build words
+# of about S letters).  alexander --burau sizes its word from closed forms
+# before it builds it, so it alone also draws multiplicities up to 10^12.
 _STRAY = st.sampled_from([""] * 12 + ["x", ",", "^", "-", "(", " ", "0"])
 
 
@@ -512,10 +574,15 @@ def _stray(text: st.SearchStrategy) -> st.SearchStrategy:
         lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
 
 
-_VECTOR = _stray(st.lists(
-    st.tuples(st.integers(1, 9), st.integers(1, 6)).map(
-        lambda rs: str(rs[0]) if rs[1] == 1 else f"{rs[0]}^{rs[1]}"),
-    min_size=1, max_size=4).map(",".join))
+def _vector(multiplicity: st.SearchStrategy) -> st.SearchStrategy:
+    return _stray(st.lists(
+        st.tuples(st.integers(1, 9), multiplicity).map(
+            lambda rs: str(rs[0]) if rs[1] == 1 else f"{rs[0]}^{rs[1]}"),
+        min_size=1, max_size=4).map(",".join))
+
+
+_VECTOR = _vector(st.integers(1, 6))
+_HUGE_VECTOR = _vector(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 12)))
 _TPARAMS = _stray(st.lists(
     st.tuples(st.integers(1, 9), st.integers(1, 6)).map(lambda rs: f"({rs[0]},{rs[1]})"),
     min_size=1, max_size=4).map("".join))
@@ -531,7 +598,7 @@ _ARGV = st.one_of(
     _TPARAMS.map(lambda t: ["dual", t]),
     _TPARAMS.map(lambda t: ["braid-index", t]),
     _MORTON.map(lambda m: ["alexander"] + m),
-    _VECTOR.map(lambda v: ["alexander", "--burau", v]),
+    _HUGE_VECTOR.map(lambda v: ["alexander", "--burau", v]),
     _WORD.map(lambda w: ["normal-form", w]),
     st.tuples(_WORD, _WORD).map(lambda ab: ["word-eq", *ab]),
 )

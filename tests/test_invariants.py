@@ -268,6 +268,23 @@ def test_alexander_span_is_twice_genus_on_census():
     assert checked == 107
 
 
+def test_knot_alexander_at_one_is_a_unit():
+    # Delta(1) = +-1 for every knot, a fact apart from the monic and span
+    # certificates: the coefficient sum on the Burau route for every known
+    # census knot at the default caps, and on Morton's formula for every
+    # coprime triple of the oracle grid.
+    knots = [e for e in load_census() if e.known]
+    assert len(knots) == 107
+    for entry in knots:
+        poly = burau_alexander(minimal_braid_word(normalize(entry.vector)))
+        assert abs(sum(c for _, c in poly.terms)) == 1, entry.name
+    triples = [(m, p, q) for m in range(1, 6) for p in range(2, 16) for q in range(2, 16)
+               if math.gcd(p, q) == 1]
+    assert len(triples) == 570
+    for m, p, q in triples:
+        assert abs(sum(c for _, c in morton_alexander(m, p, q).terms)) == 1, (m, p, q)
+
+
 def test_burau_on_seeded_lorenz_links():
     # span = c - n + 1 = 2g + mu - 1 for links too, and Delta(1) = 0 exactly
     # when the closure has more than one component

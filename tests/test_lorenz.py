@@ -39,7 +39,6 @@ from lorenzlinks.lorenz import (
     TmTriple,
     VectorOrderWarning,
     _x_letters,
-    minimal_word_from_triple,
 )
 
 FAVORITE = "2^4,3^2,6,8^2"
@@ -365,7 +364,8 @@ def test_minimal_word_examples():
 def test_x_letters_from_the_runs_match_the_triple():
     # X read from the runs against X read from the triple (t, n, m) that the
     # entry-based oracle counts, on seeded vectors with runs below, at and
-    # above t, and on every small triple.
+    # above t, and on every small triple; the triple read from the runs gives
+    # back the vector.
     rng = random.Random(31)
     vectors = [random_normalized_vector(rng, max_p=40, max_r=16, max_k=6) for _ in range(1500)]
     vectors += [vector_from_triple(TmTriple(t, n, m)) for t in range(2, 5)
@@ -374,7 +374,7 @@ def test_x_letters_from_the_runs_match_the_triple():
     for v in vectors:
         tr = tm_triple_entries(v)
         assert _x_letters(v, tr.t) == x_letters_from_triple(tr), v
-        assert minimal_word_from_triple(tm_triple(v)) == minimal_braid_word(v), v
+        assert vector_from_triple(tm_triple(v)) == v, v
 
 
 def test_minimal_word_t2_collapse():
@@ -439,8 +439,8 @@ def test_minimal_word_delta_duality():
         vectors.append(random_normalized_vector(rng, max_p=8, max_r=6))
     for v in vectors:
         tr = tm_triple(v)
-        flipped = flip_word(minimal_word_from_triple(tr))
-        target = minimal_word_from_triple(TmTriple(tr.t, tr.m, tr.n))
+        flipped = flip_word(minimal_braid_word(vector_from_triple(tr)))
+        target = minimal_braid_word(vector_from_triple(TmTriple(tr.t, tr.m, tr.n)))
         letters = flipped.letters
         assert any(
             words_equal(BraidWord(flipped.strands, letters[i:] + letters[:i]), target)
