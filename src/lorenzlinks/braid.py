@@ -16,7 +16,9 @@ Conventions used throughout the package:
   exactly the reduced words.  permutation_braid_word picks a deterministic
   reduced word (strands inserted by increasing start position, each emitting
   a descending run of letters).
-- One spelling per word operation: bracket, power, a * b, concat_all, permutation_of_word.
+- One builder, _brackets, spells every word built from a vector, each a
+  product of bracket powers [v, w]^c, and bracket and delta^q too; it sizes
+  the word before it makes a letter, so it holds the letter cap, MAX_LETTERS.
 - The image-tuple helpers live here too: _inverse, shared by Permutation
   and the Garside kernel, and _cycles, the walk behind cycle_count that
   invariants also runs on a plain list.
@@ -29,9 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedInput
+
+MAX_LETTERS = 1_000_000  # the letters of a built word, the scale of MAX_MORTON_DEGREE
+MAX_WORD_STRANDS = 10_000  # the strands of a parsed word, which the Garside cut lists
 
 
 def _inverse(image: Sequence[int]) -> tuple[int, ...]:
@@ -84,11 +90,9 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
-        for i in self.letters:
-            if not 1 <= i <= self.strands - 1:
-                raise ValueError(
-                    f"letter {i} out of range 1..{self.strands - 1}"
-                )
+        if self.letters and not 1 <= min(self.letters) <= max(self.letters) < self.strands:
+            bad = next(i for i in self.letters if not 1 <= i < self.strands)
+            raise ValueError(f"letter {bad} out of range 1..{self.strands - 1}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -103,23 +107,32 @@ class BraidWord:
         return format_word(self)
 
 
-def bracket(v: int, w: int, strands: int) -> BraidWord:
+def _brackets(blocks: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
     """
-    The generator run between positions v and w.
+    The letters of prod [v, w]^c over the blocks (v, w, c), [v, v] empty.
 
-    Ascending, bracket(v, w) with v < w, is sigma_v sigma_{v+1} ... sigma_{w-1};
-    descending, with v > w, is sigma_{v-1} ... sigma_{w+1} sigma_w.  Either way
-    the word has |v - w| letters and moves one strand across the interval.
+    Ascending, [v, w] with v < w is sigma_v sigma_{v+1} ... sigma_{w-1};
+    descending, it is sigma_{v-1} ... sigma_{w+1} sigma_w: |v - w| letters
+    moving one strand across the interval.  The blocks are sized before any
+    letter is made, and refused once their running size passes MAX_LETTERS.
     """
+    read, size = [], 0
+    for v, w, c in blocks:
+        size += abs(v - w) * c
+        if size > MAX_LETTERS:
+            raise UnsupportedInput(f"word exceeds the cap of {MAX_LETTERS} letters")
+        read.append((v, w, c))
+    return tuple(chain.from_iterable(
+        tuple(range(v, w) if v < w else range(v - 1, w - 1, -1)) * c for v, w, c in read))
+
+
+def bracket(v: int, w: int, strands: int) -> BraidWord:
+    """The generator run [v, w] between positions v and w (see _brackets)."""
     if not (1 <= v <= strands and 1 <= w <= strands):
         raise ValueError(f"bracket endpoints {v},{w} out of range 1..{strands}")
     if v == w:
         raise ValueError("bracket endpoints must differ")
-    if v < w:
-        letters = tuple(range(v, w))
-    else:
-        letters = tuple(range(v - 1, w - 1, -1))
-    return BraidWord(strands, letters)
+    return BraidWord(strands, _brackets(((v, w, 1),)))
 
 
 def power(a: BraidWord, k: int) -> BraidWord:
@@ -178,12 +191,12 @@ def permutation_braid_word(p: Permutation) -> BraidWord:
     p(b) > p(a), emitting a descending run of letters.  The word length is the
     inversion count of p, so any two strands cross at most once.
     """
-    n = p.size
-    letters: list[int] = []
-    for a in range(2, n + 1):
-        crossings = sum(1 for b in range(1, a) if p(b) > p(a))
-        letters.extend(range(a - 1, a - 1 - crossings, -1))
-    return BraidWord(n, tuple(letters))
+    letters, top = [], 0  # top: the highest end of the strands placed so far
+    for a, x in enumerate(p.image, start=1):
+        if x < top:  # strand a crosses the placed strands that end above it
+            letters.extend(range(a - 1, a - 1 - sum(y > x for y in p.image[:a - 1]), -1))
+        top = max(top, x)
+    return BraidWord(p.size, tuple(letters))
 
 
 def format_word(w: BraidWord) -> str:
@@ -202,6 +215,8 @@ def parse_word(text: str) -> BraidWord:
         letters = tuple(int(t) for t in tokens[1:])
     except ValueError as exc:
         raise ParseError(f"malformed braid word {text!r}") from exc
+    if strands > MAX_WORD_STRANDS:  # outside the try: not a ParseError
+        raise UnsupportedInput(f"n = {strands} exceeds the cap of {MAX_WORD_STRANDS} strands")
     try:
         return BraidWord(strands, letters)
     except ValueError as exc:

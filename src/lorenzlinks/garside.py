@@ -31,17 +31,10 @@ at the boundary: in NormalForm.factors and the public helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .braid import (
-    BraidWord,
-    Permutation,
-    _inverse,
-    bracket,
-    concat_all,
-    permutation_braid_word,
-    power,
-)
+from .braid import BraidWord, Permutation, _brackets, _inverse, permutation_braid_word
 
 Image = tuple[int, ...]
 
@@ -169,9 +162,8 @@ class NormalForm:
     factors: tuple[Permutation, ...]
 
     def word(self) -> BraidWord:
-        return concat_all(
-            self.strands, (permutation_braid_word(f) for f in self.factors)
-        )
+        return BraidWord(self.strands, tuple(
+            chain.from_iterable(permutation_braid_word(f).letters for f in self.factors)))
 
 
 def _normal_form(strands: int, factors: list[Image]) -> NormalForm:
@@ -214,5 +206,7 @@ def periodic_word(t: int, q: int) -> BraidWord:
     """The word delta^q in B_t, where delta = sigma_1 ... sigma_{t-1}."""
     if t < 2:
         raise ValueError("periodic words need at least two strands")
-    return power(bracket(1, t, t), q)
+    if q < 0:
+        raise ValueError("negative powers of positive words do not exist")
+    return BraidWord(t, _brackets(((1, t, q),)))
 

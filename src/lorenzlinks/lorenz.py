@@ -6,7 +6,7 @@ overcrossing strands: strand i starts at position i and ends at i + d_i, and
 the undercrossing strands fill the remaining positions in increasing order.
 The nondecreasing vector <d_1, ..., d_p> therefore encodes the whole braid.
 A LorenzVector stores its run-length form <r_1^s_1, ..., r_k^s_k>, the pairs
-(r_i, s_i) of tlink.TParams; only builders of size-p words expand it.
+(r_i, s_i) of tlink.TParams; only lorenz_permutation expands it.
 
 A vector is *normalized* when p >= 2, d_1 >= 2 and d_{p-1} = d_p; every other
 vector destabilizes to a normalized one or to the unknot, one strand at a
@@ -23,10 +23,10 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
-from .braid import BraidWord, Permutation, permutation_braid_word
+from .braid import BraidWord, Permutation, _brackets
 from .errors import ParseError
 
 
@@ -179,8 +179,17 @@ def lorenz_permutation(v: LorenzVector) -> Permutation:
 
 
 def lorenz_braid_word(v: LorenzVector) -> BraidWord:
-    """The Lorenz braid as a positive word; its length is S = sum(d_i)."""
-    return permutation_braid_word(lorenz_permutation(v))
+    """
+    The Lorenz braid prod_j [p+j, u_j], S = sum(d_i) letters, u_j the end of
+    undercrossing strand p+j: it moves past the p+j-u_j overcrossing strands
+    ending after u_j, which never cross, as in permutation_braid_word.  The
+    r_i - r_(i-1) ends before run i's are free: u_j = a_i + j - 1 for
+    r_(i-1) < j <= r_i, a_i the run's first strand.
+    """
+    rs, p = [r for r, _ in v.rle], v.p
+    runs = zip(accumulate((s for _, s in v.rle), initial=1), [0] + rs, rs)  # a_i, r_(i-1), r_i
+    return BraidWord(v.strands, _brackets(
+        (p + j, a + j - 1, 1) for a, prev, r in runs for j in range(prev + 1, r + 1)))
 
 
 def trip_number(v: LorenzVector) -> int:
@@ -263,8 +272,8 @@ def tm_triple(v: LorenzVector) -> TmTriple:
     """The triple (t, n, m) of the normalized v: the counts of X's blocks."""
     t = trip_number(v)  # requires v normalized
     n, m = [0] * (t - 1), [0] * (t - 1)
-    for i, c, up in _x_blocks(v, t):
-        (n if up else m)[i - 1] = c
+    for a, b, c in _x_blocks(v, t):
+        (n if a < b else m)[abs(a - b) - 1] = c
     return TmTriple(t, tuple(n), tuple(m))
 
 
@@ -286,31 +295,29 @@ def vector_from_triple(triple: TmTriple) -> LorenzVector:
     return LorenzVector(_merge_runs(ll + lr))
 
 
-def _x_blocks(v: LorenzVector, t: int) -> list[tuple[int, int, bool]]:
+def _x_blocks(v: LorenzVector, t: int) -> list[tuple[int, int, int]]:
     """
-    The blocks (i, count, up) of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the
-    minimal word after its full twist [1,t]^t, from the runs of the normalized
-    v with trip number t.  Up-blocks are rows below the Durfee square: s rows
+    The blocks (v, w, c) of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the minimal
+    word after its full twist [1,t]^t, from the runs of the normalized v with
+    trip number t.  Up-blocks [1,i+1] are rows below the Durfee square: s rows
     of length r per run r < t, the rest of the p - t of length t.  Down-blocks
-    are columns right of it: r - max(r_prev, t) of height H, the entries from
-    that run up, per run r > t; H falls run by run, so these come reversed.
+    [t,t-i] are columns right of it: r - max(r_prev, t) of height H, the
+    entries from that run up, per run r > t; H falls, so these come reversed.
     """
     up, down, below, height, prev = [], [], v.p - t, v.p, 0
     for r, s in v.rle:
         if r < t:
-            up.append((r - 1, s, True))
+            up.append((1, r, s))
             below -= s
         elif r > t:
-            down.append((height - 1, r - max(prev, t), False))
+            down.append((t, t - height + 1, r - max(prev, t)))
         height, prev = height - s, r
-    return up + [(t - 1, below, True)] + down[::-1]
+    return up + [(1, t, below)] + down[::-1]
 
 
 def _x_letters(v: LorenzVector, t: int) -> tuple[int, ...]:
-    """X's letters, block by block: [1,i+1] is 1..i and [t,t-i] is t-1..t-i."""
-    return tuple(chain.from_iterable(
-        (tuple(range(1, i + 1)) if up else tuple(range(t - 1, t - i - 1, -1))) * c
-        for i, c, up in _x_blocks(v, t)))
+    """X's letters on t strands."""
+    return _brackets(_x_blocks(v, t))
 
 
 def minimal_braid_word(v: LorenzVector) -> BraidWord:
@@ -322,7 +329,7 @@ def minimal_braid_word(v: LorenzVector) -> BraidWord:
     sigma_1^(2 + n_1 + m_1)).
     """
     t = trip_number(v)  # requires v normalized
-    return BraidWord(t, tuple(range(1, t)) * t + _x_letters(v, t))
+    return BraidWord(t, _brackets([(1, t, t)] + _x_blocks(v, t)))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 
-from .braid import BraidWord, bracket, concat_all, power
+from .braid import BraidWord, _brackets
 from .errors import ParseError
-from .lorenz import LorenzVector, _merge_runs, _require_normalized, dual_vector, trip_number
+from .lorenz import (LorenzVector, _merge_runs, _require_normalized, _x_blocks, dual_vector,
+                     trip_number)
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ def format_tparams(t: TParams) -> str:
 
 def tbraid_word(t: TParams) -> BraidWord:
     """The word prod_i [1, r_i]^{s_i} on r_k strands; length sum s_i (r_i - 1)."""
-    n = t.r_max
-    return concat_all(n, (power(bracket(1, r, n), s) for r, s in t.pairs))
+    return BraidWord(t.r_max, _brackets((1, r, s) for r, s in t.pairs))
 
 
 def vector_to_tparams(v: LorenzVector) -> TParams:
@@ -96,31 +96,21 @@ def tparams_to_vector(t: TParams) -> LorenzVector:
 
 
 def x_word(v: LorenzVector) -> BraidWord:
-    """The LL part on r_k strands: prod_{i<=p-t} [1, d_i]."""
-    t, n, d = trip_number(v), v.dp, v.d
-    return concat_all(n, (bracket(1, d[i - 1], n) for i in range(1, v.p - t + 1)))
+    """The LL part on r_k strands: prod_{i<=p-t} [1, d_i], X's up-blocks."""
+    return BraidWord(v.dp, _brackets(b for b in _x_blocks(v, trip_number(v)) if b[0] < b[1]))
 
 
 def y_word(v: LorenzVector) -> BraidWord:
     """The LR part on r_k strands: [1, t]^t."""
     t = trip_number(v)
-    return power(bracket(1, t, v.dp), t)
+    return BraidWord(v.dp, _brackets(((1, t, t),)))
 
 
 def z_word(v: LorenzVector) -> BraidWord:
-    """
-    The RL/RR part: Z_t Z_{t-1} ... Z_1 with Z_{t-i} = [t-i, d_{p-i} - i].
-
-    A factor with equal endpoints crosses nothing and contributes the empty
-    word (this happens exactly when the corresponding strand has d = t).
-    """
-    t, n, d, p = trip_number(v), v.dp, v.d, v.p
-    parts = []
-    for i in range(t):
-        lo, hi = t - i, d[p - i - 1] - i
-        if lo != hi:
-            parts.append(bracket(lo, hi, n))
-    return concat_all(n, parts)
+    """The RL/RR part: Z_t ... Z_1, Z_{t-i} = [t-i, d_{p-i} - i], empty when d_{p-i} = t."""
+    t = trip_number(v)
+    top = islice(chain.from_iterable(repeat(r, s) for r, s in reversed(v.rle)), t)
+    return BraidWord(v.dp, _brackets((t - i, d - i, 1) for i, d in enumerate(top)))
 
 
 def dual_tparams(t: TParams) -> TParams:

@@ -59,9 +59,9 @@ stopping past 2(q-t) factors:
   t(t-1)/2 letters, with exactly that many only for Delta, so every factor
   is Delta.  An empty X gives Torus(t, t).
 
-X's letters come from the runs (lorenz._x_letters), so M is never built.  The
-rungs run in the order unknot, length, components, tparams, crossings, burau,
-factor_bound, garside.
+X's letters come from the runs (lorenz._x_letters), so M is never built, and
+an X past braid.MAX_LETTERS raises UnsupportedInput.  The rungs run in the
+order unknot, length, components, tparams, crossings, burau, factor_bound, garside.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from lorenzlinks import (
     BraidWord,
     ParseError,
     Permutation,
+    UnsupportedInput,
     bracket,
     cycle_count,
     flip_word,
@@ -18,7 +20,7 @@ from lorenzlinks import (
     permutation_of_word,
     power,
 )
-from lorenzlinks.braid import _cycles
+from lorenzlinks.braid import MAX_LETTERS, MAX_WORD_STRANDS, _brackets, _cycles
 from lorenzlinks.lorenz import lorenz_permutation
 
 
@@ -41,6 +43,26 @@ def test_bracket_length_and_errors():
         bracket(0, 3, 4)
     with pytest.raises(ValueError):
         bracket(1, 5, 4)
+
+
+def test_brackets_are_the_product_of_bracket_powers():
+    # one builder for every word: its letters are the bracket powers laid end
+    # to end, [v, v] is empty, and the length is sum |v - w| c
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        blocks = [(rng.randint(1, n), rng.randint(1, n), rng.randint(0, 4))
+                  for _ in range(rng.randint(0, 5))]
+        expected = tuple(i for v, w, c in blocks if v != w for i in bracket(v, w, n).letters * c)
+        assert _brackets(blocks) == expected
+        assert len(expected) == sum(abs(v - w) * c for v, w, c in blocks)
+
+
+def test_brackets_size_the_word_before_building_it():
+    assert len(_brackets([(1, 2, MAX_LETTERS)])) == MAX_LETTERS
+    for blocks in ([(1, 2, MAX_LETTERS + 1)], [(1, 3, 10 ** 18)], [(3, 1, 1)] * (MAX_LETTERS // 2 + 1)):
+        assert_raises(lambda: _brackets(blocks), UnsupportedInput,
+                      f"word exceeds the cap of {MAX_LETTERS} letters")
 
 
 def test_product_rule_letter_level():
@@ -166,6 +188,17 @@ def test_permutation_braid_word_exhaustive(n):
         assert permutation_of_word(w) == p
 
 
+def test_permutation_braid_word_skips_strands_that_cross_nothing():
+    # a transposition of the first two of 10,000 strands: the scan over every
+    # placed strand, for every strand, took seconds
+    image = (2, 1) + tuple(range(3, 10001))
+    t0 = time.perf_counter()
+    w = permutation_braid_word(Permutation(image))
+    elapsed = time.perf_counter() - t0
+    assert w == BraidWord(10000, (1,))
+    assert elapsed < 0.1, elapsed
+
+
 def test_lorenz_word_length_is_inversion_count():
     v = parse_vector("2^4,3^2,6,8^2")
     p = lorenz_permutation(v)
@@ -191,6 +224,15 @@ def test_word_text_round_trip():
                  "a braid needs at least one strand", id="no-strands"),
     pytest.param(lambda: parse_word("n=3 1 x"), ParseError,
                  "malformed braid word 'n=3 1 x'", id="bad-letter"),
+    pytest.param(lambda: BraidWord(4, (1, 2, 5, 0)), ValueError,
+                 "letter 5 out of range 1..3", id="first-bad-letter"),
+    pytest.param(lambda: parse_word("n=3 1 0 3"), ParseError,
+                 "letter 0 out of range 1..2", id="parsed-bad-letter"),
+    pytest.param(lambda: parse_word(f"n={MAX_WORD_STRANDS + 1} 1"), UnsupportedInput,
+                 f"n = {MAX_WORD_STRANDS + 1} exceeds the cap of {MAX_WORD_STRANDS} strands",
+                 id="strand-cap"),
+    pytest.param(lambda: parse_word("n=100000000 1 x"), ParseError,
+                 "malformed braid word 'n=100000000 1 x'", id="malformed-past-the-cap"),
 ])
 def test_validation_errors(build, exc_type, message):
     assert_raises(build, exc_type, message)

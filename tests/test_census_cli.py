@@ -28,7 +28,7 @@ from lorenzlinks import (
     vector_to_tparams,
 )
 from lorenzlinks import census as census_mod
-from lorenzlinks import invariants, lorenz
+from lorenzlinks import braid, invariants, lorenz
 from lorenzlinks.census import REPORT_SCHEMA, builtin_knotscape_names
 from lorenzlinks.errors import ParseError, UnsupportedInput
 from lorenzlinks.lorenz import VectorOrderWarning
@@ -345,6 +345,41 @@ def test_cli_alexander_burau_checks_the_caps_before_the_word(capsys):
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
+def test_cli_refuses_words_past_the_caps_before_building_them(capsys):
+    # the letter cap sizes minimal and tbraid from their blocks, and the strand
+    # cap refuses a parsed word before the Garside cut lists its strands
+    letters = f"error: word exceeds the cap of {braid.MAX_LETTERS} letters\n"
+    strands = f"error: n = 100000000 exceeds the cap of {braid.MAX_WORD_STRANDS} strands\n"
+    for argv, err in ((["minimal", "2^100000000,3^2"], letters),
+                      (["tbraid", "2^100000000,3^2"], letters),
+                      (["normal-form", "n=100000000 1"], strands),
+                      (["word-eq", "n=100000000 1", "n=100000000 1"], strands),
+                      (["word-eq", "n=3 1", "n=100000000 1"], strands)):
+        for flags in ([], ["--json"]):
+            tracemalloc.start()
+            try:
+                code = cli.main(flags + argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (argv, peak)
+            assert code == 1
+            assert capsys.readouterr() == ("", err)
+    # at the strand cap a word is still taken
+    assert cli.main(["normal-form", f"n={braid.MAX_WORD_STRANDS} 1 {braid.MAX_WORD_STRANDS - 1}"]) == 0
+    assert capsys.readouterr().out == f"n={braid.MAX_WORD_STRANDS} factors=1: 1 9999\n"
+
+
+def test_cli_is_torus_refuses_an_x_past_the_letter_cap():
+    # X would have 6,000,002 letters; it is refused at once, where the
+    # crossings and Burau rungs ran on it without end
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "lorenzlinks.cli", "is-torus", "2^2,3^3000000,5^2"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: word exceeds the cap of {braid.MAX_LETTERS} letters\n"
+
+
 def test_census_rows_are_distinct_knots():
     # no two known rows are one knot: (genus, trip, Burau Delta) tells all 107
     # apart, where (genus, trip) alone gives 90 classes; a misprinted row that
@@ -563,9 +598,8 @@ def test_cli_census_text(capsys):
 
 
 # Small argv for every subcommand but census: a stray character now and then
-# makes a parse error, and no exponent is large (tbraid and minimal build words
-# of about S letters).  alexander --burau sizes its word from closed forms
-# before it builds it, so it alone also draws multiplicities up to 10^12.
+# makes a parse error.  tbraid, minimal and alexander --burau size their words
+# before they build them, so they also draw multiplicities up to 10^12.
 _STRAY = st.sampled_from([""] * 12 + ["x", ",", "^", "-", "(", " ", "0"])
 
 
@@ -593,8 +627,8 @@ _MORTON = st.lists(st.integers(-2, 9), min_size=3, max_size=3).map(
     lambda mpq: ["--morton"] + [str(x) for x in mpq])
 _ARGV = st.one_of(
     *[_VECTOR.map(lambda v, c=c: [c, v]) for c in (
-        "validate", "normalize", "dual", "tbraid", "minimal", "trip", "invariants",
-        "is-torus")],
+        "validate", "normalize", "dual", "trip", "invariants", "is-torus")],
+    *[_HUGE_VECTOR.map(lambda v, c=c: [c, v]) for c in ("tbraid", "minimal")],
     _TPARAMS.map(lambda t: ["dual", t]),
     _TPARAMS.map(lambda t: ["braid-index", t]),
     _MORTON.map(lambda m: ["alexander"] + m),

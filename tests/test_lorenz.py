@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from lorenzlinks import (
     LorenzVector,
     ParseError,
     TParams,
+    UnsupportedInput,
     classify_strands,
     cycle_count,
     dual_vector,
@@ -26,7 +28,9 @@ from lorenzlinks import (
     minimal_braid_word,
     normalize,
     parse_vector,
+    permutation_braid_word,
     permutation_of_word,
+    tbraid_word,
     tm_triple,
     tparams_to_vector,
     trip_number,
@@ -34,10 +38,11 @@ from lorenzlinks import (
     vector_to_tparams,
     words_equal,
 )
-from lorenzlinks.braid import BraidWord
+from lorenzlinks.braid import MAX_LETTERS, BraidWord
 from lorenzlinks.lorenz import (
     TmTriple,
     VectorOrderWarning,
+    _x_blocks,
     _x_letters,
 )
 
@@ -201,6 +206,82 @@ def test_lorenz_permutation_favorite():
     assert perm.size == 17
     assert cycle_count(perm) == 1
     assert len(lorenz_braid_word(v)) == 36
+
+
+def _raw_vectors(rng, count):
+    """Vectors as written, not normalized: leading 1s, s_k = 1 and single runs."""
+    vectors = []
+    for _ in range(count):
+        rs = sorted(rng.sample(range(1, 16), rng.randint(1, 5)))
+        ss = [rng.randint(1, 7) for _ in rs]
+        if rng.random() < 0.3:
+            ss[-1] = 1
+        vectors.append(LorenzVector(tuple(zip(rs, ss))))
+    return vectors
+
+
+def test_lorenz_word_from_its_brackets_is_the_permutation_word():
+    # prod_j [p+j, u_j] has the letters of the inversion scan on the Lorenz
+    # permutation, which it replaced, on normalized and raw vectors alike
+    rng = random.Random(41)
+    vectors = [e.vector for e in load_census() if e.known]
+    vectors += [random_normalized_vector(rng, max_p=40, max_r=16, max_k=6) for _ in range(1000)]
+    vectors += _raw_vectors(rng, 1000)
+    vectors += [parse_vector(text) for text in ("1", "1^5", "1^3,2", "1,4^2,9", "5", "2,3")]
+    assert sum(v.rle[0][0] == 1 for v in vectors) > 200
+    assert sum(v.rle[-1][1] == 1 for v in vectors) > 200
+    for v in vectors:
+        assert lorenz_braid_word(v) == permutation_braid_word(lorenz_permutation(v)), v
+
+
+def test_lorenz_word_is_linear_in_its_letters():
+    # 20,000 letters on 4,007 strands; the inversion scan took seconds
+    v = parse_vector("3^2000,7^2000")
+    t0 = time.perf_counter()
+    w = lorenz_braid_word(v)
+    elapsed = time.perf_counter() - t0
+    assert (w.strands, len(w)) == (4007, 20000)
+    assert elapsed < 0.1, elapsed
+
+
+def test_every_builder_has_its_closed_form_length():
+    # the blocks of X size X exactly, and every word has the length its
+    # closed form in the runs gives: S, S - p, S - d_p, |M| and |M| - t(t-1),
+    # which is (t-1)(q-t) whenever |M| = (t-1) q
+    rng = random.Random(43)
+    vectors = [e.vector for e in load_census() if e.known]
+    vectors += [random_normalized_vector(rng, max_p=60, max_r=20, max_k=6) for _ in range(1500)]
+    for v in vectors:
+        t = trip_number(v)
+        total, p, dp, length = v.total, v.p, v.dp, v.total - v.p - v.dp + t
+        blocks = _x_blocks(v, t)
+        assert sum(abs(a - b) * c for a, b, c in blocks) == len(_x_letters(v, t)) == length - t * (t - 1)
+        assert len(lorenz_braid_word(v)) == total
+        assert len(tbraid_word(vector_to_tparams(v))) == total - p
+        assert len(tbraid_word(vector_to_tparams(dual_vector(v)))) == total - dp
+        assert len(minimal_braid_word(v)) == length
+        if length % (t - 1) == 0:
+            assert len(_x_letters(v, t)) == (t - 1) * (length // (t - 1) - t)
+
+
+def test_words_past_the_letter_cap_are_refused_before_they_are_built():
+    # S = 200,000,006: the Lorenz word is sized from its first block, before
+    # the p + d_p ends are listed
+    v = parse_vector("2^100000000,3^2")
+    for build in (lorenz_braid_word, milestone_words):
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedInput) as exc:
+                build(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build, peak)
+        assert str(exc.value) == f"word exceeds the cap of {MAX_LETTERS} letters"
+    # the cap itself is built, one letter past it is refused
+    assert len(lorenz_braid_word(parse_vector(f"2^{MAX_LETTERS // 2}"))) == MAX_LETTERS
+    with pytest.raises(UnsupportedInput):
+        lorenz_braid_word(parse_vector(f"2^{MAX_LETTERS // 2 - 1},3"))
 
 
 def test_lorenz_permutation_hopf():
