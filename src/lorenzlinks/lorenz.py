@@ -180,11 +180,11 @@ def lorenz_permutation(v: LorenzVector) -> Permutation:
 
 def lorenz_braid_word(v: LorenzVector) -> BraidWord:
     """
-    The Lorenz braid prod_j [p+j, u_j], S = sum(d_i) letters, u_j the end of
-    undercrossing strand p+j: it moves past the p+j-u_j overcrossing strands
-    ending after u_j, which never cross, as in permutation_braid_word.  The
-    r_i - r_(i-1) ends before run i's are free: u_j = a_i + j - 1 for
-    r_(i-1) < j <= r_i, a_i the run's first strand.
+    The Lorenz braid prod_j [p+j, u_j] of S = sum(d_i) letters, u_j the end of
+    undercrossing strand p+j.  The overcrossing strands never cross, so p+j
+    moves left past the p+j-u_j of them ending after u_j, as permutation_braid_word
+    does.  The r_i - r_(i-1) ends just before run i's are free: u_j = a_i + j - 1
+    for r_(i-1) < j <= r_i, a_i the run's first strand.
     """
     rs, p = [r for r, _ in v.rle], v.p
     runs = zip(accumulate((s for _, s in v.rle), initial=1), [0] + rs, rs)  # a_i, r_(i-1), r_i
@@ -273,7 +273,7 @@ def tm_triple(v: LorenzVector) -> TmTriple:
     t = trip_number(v)  # requires v normalized
     n, m = [0] * (t - 1), [0] * (t - 1)
     for a, b, c in _x_blocks(v, t):
-        (n if a < b else m)[abs(a - b) - 1] = c
+        (n if a < b else m)[abs(a - b) - 1] = c  # [1,i+1]^n_i or [t,t-i]^m_i
     return TmTriple(t, tuple(n), tuple(m))
 
 
@@ -297,12 +297,12 @@ def vector_from_triple(triple: TmTriple) -> LorenzVector:
 
 def _x_blocks(v: LorenzVector, t: int) -> list[tuple[int, int, int]]:
     """
-    The blocks (v, w, c) of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the minimal
-    word after its full twist [1,t]^t, from the runs of the normalized v with
-    trip number t.  Up-blocks [1,i+1] are rows below the Durfee square: s rows
-    of length r per run r < t, the rest of the p - t of length t.  Down-blocks
-    [t,t-i] are columns right of it: r - max(r_prev, t) of height H, the
-    entries from that run up, per run r > t; H falls, so these come reversed.
+    The blocks (a, b, c), each [a,b]^c, of X = prod [1,i+1]^n_i prod [t,t-i]^m_i,
+    the minimal word after its full twist [1,t]^t, from the runs of the
+    normalized v with trip number t.  Up-blocks [1,i+1] are rows below the
+    Durfee square: s rows of length r per run r < t, the rest of the p - t of
+    length t.  Down-blocks [t,t-i] are columns right of it: r - max(r_prev, t)
+    of height H (the entries from that run up) per run r > t, reversed as H falls.
     """
     up, down, below, height, prev = [], [], v.p - t, v.p, 0
     for r, s in v.rle:
