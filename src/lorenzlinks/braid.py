@@ -107,6 +107,12 @@ class BraidWord:
         return format_word(self)
 
 
+def _check_letters(size: int) -> None:
+    """Refuse a word of this many letters past MAX_LETTERS."""
+    if size > MAX_LETTERS:
+        raise UnsupportedInput(f"word exceeds the cap of {MAX_LETTERS} letters")
+
+
 def _brackets(blocks: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
     """
     The letters of prod [v, w]^c over the blocks (v, w, c), [v, v] empty.
@@ -119,8 +125,7 @@ def _brackets(blocks: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
     read, size = [], 0
     for v, w, c in blocks:
         size += abs(v - w) * c
-        if size > MAX_LETTERS:
-            raise UnsupportedInput(f"word exceeds the cap of {MAX_LETTERS} letters")
+        _check_letters(size)
         read.append((v, w, c))
     return tuple(chain.from_iterable(
         tuple(range(v, w) if v < w else range(v - 1, w - 1, -1)) * c for v, w, c in read))

@@ -110,18 +110,24 @@ def _tbraid_components(nv: LorenzVector) -> int:
     return _cycles(a)
 
 
-# What the torus verdict reads, named as in InvariantReport: the normalized
-# vector (None for the unknot), t, |M| and mu.
-_Counts = namedtuple("_Counts", "vector trip min_crossing_number components")
+class _Counts(namedtuple("_Counts", "vector trip min_crossing_number")):
+    """What the torus verdict reads, named as in InvariantReport: the normalized
+    vector (None for the unknot), t and |M|; mu is counted only when read."""
+
+    __slots__ = ()
+
+    @property
+    def components(self) -> int:
+        return _tbraid_components(self.vector)
 
 
 def _counts(v: LorenzVector) -> _Counts:
-    """t, |M| = S - p - d_p + t and mu, for invariant_report and is_torus."""
+    """t and |M| = S - p - d_p + t, for invariant_report and is_torus."""
     nv = normalize(v)
     if nv is UNKNOT:
-        return _Counts(None, None, 0, 1)
+        return _Counts(None, None, 0)
     t = trip_number(nv)
-    return _Counts(nv, t, nv.total - nv.p - nv.dp + t, _tbraid_components(nv))
+    return _Counts(nv, t, nv.total - nv.p - nv.dp + t)
 
 
 def invariant_report(v: LorenzVector) -> InvariantReport:
@@ -135,9 +141,10 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     rotations of d_p strands, and S, p, d_p and t are read from the k runs,
     so no entry is expanded.
     """
-    nv, t, length, mu = _counts(v)
+    nv, t, length = _counts(v)
     if nv is None:
         return _UNKNOT_REPORT
+    mu = _tbraid_components(nv)
     total, p, dp, cmn = nv.total, nv.p, nv.dp, length - t
     crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,
                  "minimal": cmn + t}
@@ -216,11 +223,20 @@ def _unit_normal(coeffs: list[int]) -> LaurentPoly:
 
 
 def _digits(x: int, bits: int) -> list[int]:
-    """Signed base-2^bits digits of x, lowest first, in [-2^(bits-1), 2^(bits-1))."""
-    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
-    while x:
-        out.append(((x + half) & mask) - half)
-        x = (x - out[-1]) >> bits
+    """Signed base-2^bits digits of x, lowest first, in [-2^(bits-1), 2^(bits-1)),
+    for bits >= 2.  |x| < 2^(width-2) fits in width // bits such digits.  Adding
+    H, half a digit in every slot, leaves each slot of y = x + H its digit plus
+    half with no borrow, so each digit is one shift and mask of y; each shift
+    copies the rest of y, so the cost stays quadratic in the digits, with a
+    small constant."""
+    if not x:
+        return []
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    width = ((x.bit_length() + 1) // bits + 1) * bits
+    y = x + ((1 << width) - 1) // mask * half
+    out = [(y >> s & mask) - half for s in range(0, width, bits)]
+    while not out[-1]:
+        out.pop()
     return out
 
 

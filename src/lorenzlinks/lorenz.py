@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
-from .braid import BraidWord, Permutation, _brackets
+from .braid import BraidWord, Permutation, _brackets, _check_letters
 from .errors import ParseError
 
 
@@ -184,8 +184,10 @@ def lorenz_braid_word(v: LorenzVector) -> BraidWord:
     undercrossing strand p+j.  The overcrossing strands never cross, so p+j
     moves left past the p+j-u_j of them ending after u_j, as permutation_braid_word
     does.  The r_i - r_(i-1) ends just before run i's are free: u_j = a_i + j - 1
-    for r_(i-1) < j <= r_i, a_i the run's first strand.
+    for r_(i-1) < j <= r_i, a_i the run's first strand.  S is checked against the
+    letter cap before any block is read.
     """
+    _check_letters(v.total)
     rs, p = [r for r, _ in v.rle], v.p
     runs = zip(accumulate((s for _, s in v.rle), initial=1), [0] + rs, rs)  # a_i, r_(i-1), r_i
     return BraidWord(v.strands, _brackets(

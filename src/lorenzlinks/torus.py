@@ -7,21 +7,26 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 |M| / (t-1).  Conjugacy is then reduced to the word problem: delta = [1,t]
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
-is_torus reads t, |M| and the component count mu, closed forms in the vector,
-from invariants._counts, the helper invariant_report builds on; census.report
-passes its own report to the same decision, so nothing is counted twice.
-The minimal word begins with [1,t]^t, which has t(t-1) letters, so q >= t
-needs no test.  After the unknot and the length rule, two cheap rungs come
-before any word is built:
+is_torus reads t and |M|, closed forms in the vector, from invariants._counts,
+the helper invariant_report builds on, and counts the component count mu only
+when the components rung is reached; census.report passes its own report to
+the same decision, so nothing is counted twice.  The minimal word begins with
+[1,t]^t, which has t(t-1) letters, so q >= t needs no test.  After the unknot
+and the length rule, two cheap rungs come before any word is built, the O(1)
+one first:
 
-- components: delta^q permutes the strands as the q-th power of a t-cycle,
-  so T(t, q) has gcd(t, q) components; mu is counted without a word.
 - tparams: the run-length pairs of the vector are T-parameters, and when
   the torus rewrite (tlink.torus_simplify) leaves one pair (r, s), the
   closure is T(r, s).  A rewrite turns the last canonical pair to (s_k, r_k),
   so it lowers k only by merging that pair into the one before, which needs
   s_k = r_(k-1).  So one pair is left only for k = 1, or for k = 2 with
   s_2 = r_1 and r_1 | s_1, giving T(r_1, s_1 + r_2): an O(1) test on the runs.
+- components: delta^q permutes the strands as the q-th power of a t-cycle,
+  so T(t, q) has gcd(t, q) components; mu is counted without a word.
+
+Both are proved, and tparams decides only Torus verdicts while components
+decides only NotTorus ones, so no vector is decided by both, and their order
+changes no verdict and no deciding rung.
 
 Otherwise M = delta^t X, where delta^t = Delta^2 is central and X has
 (t-1)(q-t) letters.  The positive monoid is cancellative, so
@@ -37,7 +42,14 @@ stopping past 2(q-t) factors:
   Delta^(2k), and sum_(j<t) C[pi^j a, pi^j b] in X^t, where C counts one walk
   over X and pi is its strand map.  The sum runs along the pair's orbit:
   exact if pi^t = id, while if not, X^t has the wrong permutation.  Either
-  way a pair whose sum is not 2(q-t) makes the link NotTorus.
+  way a pair whose sum is not 2(q-t) makes the link NotTorus.  C is counted
+  on X's blocks (lorenz._x_blocks), not its letters: [v,w] on the r = |v-w|+1
+  strands between v and w moves the strand at v to w past the other r-1, each
+  crossed once, so [v,w]^n with n = qr + m is q full twists, which cross each
+  pair of the r strands twice and move none, then m moves.  Each moved strand
+  crosses each of the r-1 others once as it moves, so two moved strands cross
+  twice and a moved and an unmoved strand once.  Full twists of width t add
+  2q to every pair, so one running count records them.
 - burau: rho, the reduced Burau representation (Burau 1936) in the
   convention of invariants.py, is a homomorphism, so conjugate braids have
   similar matrices and equal det(rho - I).  rho(delta) = s C, where C maps
@@ -59,9 +71,12 @@ stopping past 2(q-t) factors:
   t(t-1)/2 letters, with exactly that many only for Delta, so every factor
   is Delta.  An empty X gives Torus(t, t).
 
-X's letters come from the runs (lorenz._x_letters), so M is never built, and
-an X past braid.MAX_LETTERS raises UnsupportedInput.  The rungs run in the
-order unknot, length, components, tparams, crossings, burau, factor_bound, garside.
+X's letters come from the runs (lorenz._x_letters) only when the burau rung is
+reached, so M is never built, and an X past braid.MAX_LETTERS raises
+UnsupportedInput there.  The crossing counts hold a t x t table, so a t past
+MAX_TORUS_STRANDS raises UnsupportedInput once the components rung is passed.
+The rungs run in the order unknot, length, tparams, components, crossings,
+burau, factor_bound, garside.
 """
 
 from __future__ import annotations
@@ -71,9 +86,12 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
+from .errors import UnsupportedInput
 from .garside import _cut, _product
 from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
-from .lorenz import LorenzVector, _x_letters
+from .lorenz import LorenzVector, _x_blocks, _x_letters
+
+MAX_TORUS_STRANDS = 100  # t at the crossings rung, whose counts fill a t x t table
 
 
 @dataclass(frozen=True)
@@ -84,7 +102,7 @@ class TorusVerdict:
     kind: str  # "torus" | "not-torus" | "unknot"
     t: Optional[int] = None
     q: Optional[int] = None
-    # "unknot" | "length" | "components" | "tparams" | "crossings" | "burau" |
+    # "unknot" | "length" | "tparams" | "components" | "crossings" | "burau" |
     # "factor_bound" | "garside"; "tparams" and "garside" decide only Torus
     # verdicts, "crossings" and "burau" only NotTorus
     decided_by: str = field(default="garside", compare=False)
@@ -109,14 +127,30 @@ NOT_TORUS = {rung: TorusVerdict("not-torus", decided_by=rung) for rung in
 UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 
 
-def _crossings_agree(t: int, x: tuple[int, ...], k: int) -> bool:
-    """Whether every pair of strands crosses k times in X^t, for X's letters x.
-    With the strands labelled 0..t-1 by start position, one walk over x crosses
-    a and b c[a][b] + c[b][a] times and leaves strand at[i] at position i."""
-    at, c = list(range(t)), [[0] * t for _ in range(t)]
-    for i in x:
-        c[at[i - 1]][at[i]] += 1
-        at[i - 1], at[i] = at[i], at[i - 1]
+def _crossings_agree(t: int, blocks: list[tuple[int, int, int]], k: int) -> bool:
+    """Whether every pair of strands crosses k times in X^t, for X's blocks
+    (v, w, n), each [v,w]^n.  With the strands labelled 0..t-1 by start
+    position, X crosses a and b c[a][b] + c[b][a] + 2 full times and leaves
+    strand at[i] at position i; full counts the full twists of width t."""
+    at, c, full = list(range(t)), [[0] * t for _ in range(t)], 0
+    for v, w, n in blocks:
+        lo, r = min(v, w) - 1, abs(v - w) + 1
+        twists, moves = divmod(n, r)
+        seg = at[lo:lo + r]
+        if r == t:
+            full += twists
+        elif twists:
+            for a in seg:
+                row = c[a]
+                for b in seg:
+                    row[b] += twists
+        cut = moves if v < w else r - moves  # [v,w] moves the strand at v to w
+        for a in seg[:cut] if v < w else seg[cut:]:
+            row = c[a]
+            for b in seg:
+                row[b] += 1
+        at[lo:lo + r] = seg[cut:] + seg[:cut]
+    k -= 2 * t * full
     seen: set[tuple[int, int]] = set()
     for a, b in combinations(range(t), 2):
         excess = 0
@@ -176,14 +210,17 @@ def _verdict(rep: InvariantReport | _Counts) -> TorusVerdict:
     if length % (t - 1):
         return NOT_TORUS["length"]
     q = length // (t - 1)
-    if rep.components != gcd(t, q):
-        return NOT_TORUS["components"]
     pair = _tparams_pair(nv.rle)
     if pair is not None:
         return TorusVerdict("torus", min(pair), max(pair), decided_by="tparams")
-    x = _x_letters(nv, t)
-    if not _crossings_agree(t, x, 2 * (q - t)):
+    if rep.components != gcd(t, q):
+        return NOT_TORUS["components"]
+    if t > MAX_TORUS_STRANDS:
+        raise UnsupportedInput(
+            f"t = {t} exceeds the cap of {MAX_TORUS_STRANDS} strands for the crossing counts")
+    if not _crossings_agree(t, _x_blocks(nv, t), 2 * (q - t)):
         return NOT_TORUS["crossings"]
+    x = _x_letters(nv, t)
     if not _burau_agrees(t, q, x):
         return NOT_TORUS["burau"]
     return _garside_verdict(t, q, x)

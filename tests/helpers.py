@@ -331,6 +331,28 @@ def x_letters_from_triple(triple: TmTriple) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(itertools.chain(up, down)))
 
 
+# Reference for torus._crossings_agree, which counts crossings on X's blocks:
+# the same invariant, read by one walk over X's letters.
+def crossings_agree_on_letters(t: int, x: tuple[int, ...], k: int) -> bool:
+    """Whether every pair of strands crosses k times in X^t, for X's letters x.
+    With the strands labelled 0..t-1 by start position, one walk over x crosses
+    a and b c[a][b] + c[b][a] times and leaves strand at[i] at position i."""
+    at, c = list(range(t)), [[0] * t for _ in range(t)]
+    for i in x:
+        c[at[i - 1]][at[i]] += 1
+        at[i - 1], at[i] = at[i], at[i - 1]
+    seen: set[tuple[int, int]] = set()
+    for a, b in itertools.combinations(range(t), 2):
+        excess = 0
+        while (a, b) not in seen:  # the orbit under at, the inverse strand map
+            seen.update(((a, b), (b, a)))
+            excess += t * (c[a][b] + c[b][a]) - k
+            a, b = at[a], at[b]
+        if excess:
+            return False
+    return True
+
+
 # Reference for lorenz.normalize: the single destabilization moves, one at a time.
 def normalize_steps(v: LorenzVector) -> Iterator[LorenzVector]:
     """

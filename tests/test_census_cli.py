@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -371,13 +372,28 @@ def test_cli_refuses_words_past_the_caps_before_building_them(capsys):
 
 
 def test_cli_is_torus_refuses_an_x_past_the_letter_cap():
-    # X would have 6,000,002 letters; it is refused at once, where the
-    # crossings and Burau rungs ran on it without end
+    # X would have 6,000,002 letters; the crossings rung counts its blocks and
+    # agrees, and the Burau rung, which needs the letters, refuses it at once
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "lorenzlinks.cli", "is-torus", "2^2,3^3000000,5^2"],
                           capture_output=True, text=True, env=env, timeout=30)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"error: word exceeds the cap of {braid.MAX_LETTERS} letters\n"
+
+
+def test_cli_is_torus_answers_before_the_caps_it_no_longer_needs(capsys):
+    # the T-parameter rung runs before mu is counted, so d_p is not capped
+    # there; the crossings rung counts X's blocks, so the letter cap is not
+    # reached on a NotTorus verdict that it decides
+    assert cli.main(["is-torus", "99999999999999999999^5"]) == 0
+    assert capsys.readouterr() == ("Torus(5,99999999999999999999)\n", "")
+    for text in ("2^64,9^2000000", "2^6,7^3000001"):  # X past the letter cap
+        t0 = time.perf_counter()
+        assert cli.main(["--json", "is-torus", text]) == 0
+        elapsed = time.perf_counter() - t0
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "NotTorus", "torus": False, "decided_by": "crossings"}, text
+        assert elapsed < 0.1, (text, elapsed)
 
 
 def test_census_rows_are_distinct_knots():

@@ -265,10 +265,11 @@ def test_every_builder_has_its_closed_form_length():
 
 
 def test_words_past_the_letter_cap_are_refused_before_they_are_built():
-    # S = 200,000,006: the Lorenz word is sized from its first block, before
-    # the p + d_p ends are listed
-    v = parse_vector("2^100000000,3^2")
-    for build in (lorenz_braid_word, milestone_words):
+    # S = 200,000,006 and 2,000,000,000: the Lorenz word is sized from S before
+    # any block is read; 1000000000^2 has one block per undercrossing strand
+    for v, build in itertools.product(
+            map(parse_vector, ("2^100000000,3^2", "1000000000^2")),
+            (lorenz_braid_word, milestone_words)):
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedInput) as exc:
@@ -276,7 +277,7 @@ def test_words_past_the_letter_cap_are_refused_before_they_are_built():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, (build, peak)
+        assert peak < 1 << 20, (v, build, peak)
         assert str(exc.value) == f"word exceeds the cap of {MAX_LETTERS} letters"
     # the cap itself is built, one letter past it is refused
     assert len(lorenz_braid_word(parse_vector(f"2^{MAX_LETTERS // 2}"))) == MAX_LETTERS

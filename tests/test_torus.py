@@ -1,6 +1,7 @@
 import collections
 import random
 import time
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     _burau_matrix,
     central_power,
+    crossings_agree_on_letters,
     fitted_exponent,
     from_entries,
     random_normalized_vector,
@@ -35,8 +37,12 @@ from lorenzlinks import (
     tparams_to_vector,
     vector_to_tparams,
 )
+from lorenzlinks.braid import _brackets
+from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.garside import nf_power
+from lorenzlinks.lorenz import _x_blocks, _x_letters
 from lorenzlinks.torus import (
+    MAX_TORUS_STRANDS,
     NOT_TORUS,
     TorusVerdict,
     _burau_agrees,
@@ -162,9 +168,9 @@ def test_pair_crossings_are_a_braid_invariant():
 
 
 def test_crossings_rung_reads_the_power():
-    # _crossings_agree sums one walk over X along orbits; where X^t has the
-    # identity permutation it must say exactly whether every pair crosses k
-    # times in the t-fold word, walked in full.
+    # The letter walk, the oracle of the crossings rung, sums one walk over X
+    # along orbits; where X^t has the identity permutation it must say exactly
+    # whether every pair crosses k times in the t-fold word, walked in full.
     rng = random.Random(43)
     agreed = 0
     for _ in range(600):
@@ -176,9 +182,65 @@ def test_crossings_rung_reads_the_power():
         if at != list(range(t)):
             continue
         for k in set(counts.values()) | {0, 2}:
-            assert _crossings_agree(t, x, k) == (set(counts.values()) == {k}), (t, x, k)
-        agreed += _crossings_agree(t, x, counts[0, 1])
+            assert crossings_agree_on_letters(t, x, k) == (set(counts.values()) == {k}), (t, x, k)
+        agreed += crossings_agree_on_letters(t, x, counts[0, 1])
     assert agreed >= 100, agreed
+
+
+def test_crossings_on_blocks_match_the_letter_walk():
+    # The rung counts each block [v,w]^n = (full twists)^q * m moves, against
+    # the letter walk over the same X, at the true k = 2(q - t) and nearby
+    # values.  Seeded vectors with long runs give full twists in the prefix
+    # blocks [1,r]^s (s >= r) and in the full-width block [1,t]^n (n >= t);
+    # random bracket products on up to 7 strands add every other [v,w]^n.
+    rng = random.Random(59)
+    seen = collections.Counter()
+    for _ in range(1500):
+        v = random_normalized_vector(rng, max_p=60, max_r=9, max_k=5)
+        t, length = _minimal_sizes(v)
+        if length % (t - 1):
+            continue
+        q, blocks = length // (t - 1), _x_blocks(v, t)
+        x = _x_letters(v, t)
+        for k in range(2 * (q - t) - 2, 2 * (q - t) + 3):
+            got = _crossings_agree(t, blocks, k)
+            assert got == crossings_agree_on_letters(t, x, k), (v, k)
+            seen["agree"] += got
+        for a, b, n in blocks:
+            width = abs(a - b) + 1
+            seen["prefix twists" if width < t else "full twists"] += 1 < width <= n
+    for _ in range(1500):
+        t = rng.randint(2, 7)
+        blocks = [(rng.randint(1, t), rng.randint(1, t), rng.randint(0, 20))
+                  for _ in range(rng.randint(0, 5))]
+        x = _brackets(blocks)
+        counts, _ = _pair_crossings(t, x * t)
+        for k in {counts.get((0, 1), 0) + d for d in (-2, 0, 2)}:
+            assert _crossings_agree(t, blocks, k) == crossings_agree_on_letters(t, x, k), (t, blocks, k)
+    assert seen["agree"] >= 200 and min(seen["prefix twists"], seen["full twists"]) >= 300, seen
+
+
+def test_strand_cap_of_the_crossings_rung():
+    # X of 2^3000,3001^3002 has 6,000 letters, inside the letter cap, on
+    # t = 3001 strands: the t x t count is refused before it is allocated.
+    # The cap is checked after the components rung and only when it is reached.
+    v = parse_vector("2^3000,3001^3002")
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedInput) as exc:
+            is_torus(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert str(exc.value) == (f"t = 3001 exceeds the cap of {MAX_TORUS_STRANDS} "
+                              "strands for the crossing counts")
+    with pytest.raises(UnsupportedInput):
+        is_torus(parse_vector("26^4,101^102"))  # t = 101
+    cases = {"34^3,100^101": "crossings", "2^2,101^300": "length",
+             "101^300": "tparams", "6^20,101^102": "components"}
+    for text, rung in cases.items():
+        assert is_torus(parse_vector(text)).decided_by == rung, text
 
 
 def test_cheap_rungs_agree_with_full_power():
