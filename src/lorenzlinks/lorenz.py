@@ -317,11 +317,6 @@ def _x_blocks(v: LorenzVector, t: int) -> list[tuple[int, int, int]]:
     return up + [(1, t, below)] + down[::-1]
 
 
-def _x_letters(v: LorenzVector, t: int) -> tuple[int, ...]:
-    """X's letters on t strands."""
-    return _brackets(_x_blocks(v, t))
-
-
 def minimal_braid_word(v: LorenzVector) -> BraidWord:
     """
     The minimal braid-index word [1,t]^t prod [1,i+1]^n_i prod [t,t-i]^m_i on t strands.

@@ -71,8 +71,8 @@ stopping past 2(q-t) factors:
   t(t-1)/2 letters, with exactly that many only for Delta, so every factor
   is Delta.  An empty X gives Torus(t, t).
 
-X's letters come from the runs (lorenz._x_letters) only when the burau rung is
-reached, so M is never built, and an X past braid.MAX_LETTERS raises
+X's letters come from its blocks, read from the runs (lorenz._x_blocks), only
+when the burau rung is reached, so M is never built, and an X past braid.MAX_LETTERS raises
 UnsupportedInput there.  The crossing counts hold a t x t table, so a t past
 MAX_TORUS_STRANDS raises UnsupportedInput once the components rung is passed.
 The rungs run in the order unknot, length, tparams, components, crossings,
@@ -86,10 +86,11 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
+from .braid import _brackets
 from .errors import UnsupportedInput
 from .garside import _cut, _product
 from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
-from .lorenz import LorenzVector, _x_blocks, _x_letters
+from .lorenz import LorenzVector, _x_blocks
 
 MAX_TORUS_STRANDS = 100  # t at the crossings rung, whose counts fill a t x t table
 
@@ -218,9 +219,10 @@ def _verdict(rep: InvariantReport | _Counts) -> TorusVerdict:
     if t > MAX_TORUS_STRANDS:
         raise UnsupportedInput(
             f"t = {t} exceeds the cap of {MAX_TORUS_STRANDS} strands for the crossing counts")
-    if not _crossings_agree(t, _x_blocks(nv, t), 2 * (q - t)):
+    blocks = _x_blocks(nv, t)
+    if not _crossings_agree(t, blocks, 2 * (q - t)):
         return NOT_TORUS["crossings"]
-    x = _x_letters(nv, t)
+    x = _brackets(blocks)
     if not _burau_agrees(t, q, x):
         return NOT_TORUS["burau"]
     return _garside_verdict(t, q, x)

@@ -321,7 +321,8 @@ def tm_triple_entries(v: LorenzVector) -> TmTriple:
     return TmTriple(t, tuple(n), tuple(m))
 
 
-# Reference for lorenz._x_letters, which reads X's letters from the runs.
+# Reference for X's letters built from lorenz._x_blocks, which reads X's blocks
+# from the runs.
 def x_letters_from_triple(triple: TmTriple) -> tuple[int, ...]:
     """The letters of X = prod [1,i+1]^n_i prod [t,t-i]^m_i, the part of the
     minimal word after its leading full twist [1,t]^t."""

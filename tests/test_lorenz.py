@@ -38,12 +38,11 @@ from lorenzlinks import (
     vector_to_tparams,
     words_equal,
 )
-from lorenzlinks.braid import MAX_LETTERS, BraidWord
+from lorenzlinks.braid import MAX_LETTERS, BraidWord, _brackets
 from lorenzlinks.lorenz import (
     TmTriple,
     VectorOrderWarning,
     _x_blocks,
-    _x_letters,
 )
 
 FAVORITE = "2^4,3^2,6,8^2"
@@ -255,13 +254,13 @@ def test_every_builder_has_its_closed_form_length():
         t = trip_number(v)
         total, p, dp, length = v.total, v.p, v.dp, v.total - v.p - v.dp + t
         blocks = _x_blocks(v, t)
-        assert sum(abs(a - b) * c for a, b, c in blocks) == len(_x_letters(v, t)) == length - t * (t - 1)
+        assert sum(abs(a - b) * c for a, b, c in blocks) == len(_brackets(blocks)) == length - t * (t - 1)
         assert len(lorenz_braid_word(v)) == total
         assert len(tbraid_word(vector_to_tparams(v))) == total - p
         assert len(tbraid_word(vector_to_tparams(dual_vector(v)))) == total - dp
         assert len(minimal_braid_word(v)) == length
         if length % (t - 1) == 0:
-            assert len(_x_letters(v, t)) == (t - 1) * (length // (t - 1) - t)
+            assert len(_brackets(blocks)) == (t - 1) * (length // (t - 1) - t)
 
 
 def test_words_past_the_letter_cap_are_refused_before_they_are_built():
@@ -455,7 +454,7 @@ def test_x_letters_from_the_runs_match_the_triple():
                 for m in itertools.product(range(3), repeat=t - 1)]
     for v in vectors:
         tr = tm_triple_entries(v)
-        assert _x_letters(v, tr.t) == x_letters_from_triple(tr), v
+        assert _brackets(_x_blocks(v, tr.t)) == x_letters_from_triple(tr), v
         assert vector_from_triple(tm_triple(v)) == v, v
 
 

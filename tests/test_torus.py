@@ -40,7 +40,7 @@ from lorenzlinks import (
 from lorenzlinks.braid import _brackets
 from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.garside import nf_power
-from lorenzlinks.lorenz import _x_blocks, _x_letters
+from lorenzlinks.lorenz import _x_blocks
 from lorenzlinks.torus import (
     MAX_TORUS_STRANDS,
     NOT_TORUS,
@@ -201,7 +201,7 @@ def test_crossings_on_blocks_match_the_letter_walk():
         if length % (t - 1):
             continue
         q, blocks = length // (t - 1), _x_blocks(v, t)
-        x = _x_letters(v, t)
+        x = _brackets(blocks)
         for k in range(2 * (q - t) - 2, 2 * (q - t) + 3):
             got = _crossings_agree(t, blocks, k)
             assert got == crossings_agree_on_letters(t, x, k), (v, k)
