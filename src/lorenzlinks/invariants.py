@@ -118,7 +118,7 @@ class _Counts(namedtuple("_Counts", "vector trip min_crossing_number")):
 
     @property
     def components(self) -> int:
-        return _tbraid_components(self.vector)
+        return 1 if self.vector is None else _tbraid_components(self.vector)
 
 
 def _counts(v: LorenzVector) -> _Counts:

@@ -48,8 +48,7 @@ stopping past 2(q-t) factors:
   crossed once, so [v,w]^n with n = qr + m is q full twists, which cross each
   pair of the r strands twice and move none, then m moves.  Each moved strand
   crosses each of the r-1 others once as it moves, so two moved strands cross
-  twice and a moved and an unmoved strand once.  Full twists of width t add
-  2q to every pair, so one running count records them.
+  twice and a moved and an unmoved strand once.
 - burau: rho, the reduced Burau representation (Burau 1936) in the
   convention of invariants.py, is a homomorphism, so conjugate braids have
   similar matrices and equal det(rho - I).  rho(delta) = s C, where C maps
@@ -92,7 +91,7 @@ from .garside import _cut, _product
 from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
 from .lorenz import LorenzVector, _x_blocks
 
-MAX_TORUS_STRANDS = 100  # t at the crossings rung, whose counts fill a t x t table
+MAX_TORUS_STRANDS = 150  # t at the crossings rung, whose counts fill a t x t table
 
 
 @dataclass(frozen=True)
@@ -131,16 +130,14 @@ UNKNOT_VERDICT = TorusVerdict("unknot", decided_by="unknot")
 def _crossings_agree(t: int, blocks: list[tuple[int, int, int]], k: int) -> bool:
     """Whether every pair of strands crosses k times in X^t, for X's blocks
     (v, w, n), each [v,w]^n.  With the strands labelled 0..t-1 by start
-    position, X crosses a and b c[a][b] + c[b][a] + 2 full times and leaves
-    strand at[i] at position i; full counts the full twists of width t."""
-    at, c, full = list(range(t)), [[0] * t for _ in range(t)], 0
+    position, X crosses a and b c[a][b] + c[b][a] times and leaves strand
+    at[i] at position i."""
+    at, c = list(range(t)), [[0] * t for _ in range(t)]
     for v, w, n in blocks:
         lo, r = min(v, w) - 1, abs(v - w) + 1
         twists, moves = divmod(n, r)
         seg = at[lo:lo + r]
-        if r == t:
-            full += twists
-        elif twists:
+        if twists:
             for a in seg:
                 row = c[a]
                 for b in seg:
@@ -151,7 +148,6 @@ def _crossings_agree(t: int, blocks: list[tuple[int, int, int]], k: int) -> bool
             for b in seg:
                 row[b] += 1
         at[lo:lo + r] = seg[cut:] + seg[:cut]
-    k -= 2 * t * full
     seen: set[tuple[int, int]] = set()
     for a, b in combinations(range(t), 2):
         excess = 0

@@ -62,6 +62,9 @@ def test_unknot_report():
     assert rep.components == 1 and rep.genus == 0 and rep.unknotting_number == 0
     assert rep.min_crossing_number == 0
     assert rep.to_dict()["vector"] is None
+    # is_torus reads the counts in the report's place, so they must agree.
+    counts = invariants._counts(parse_vector("1,1,4"))
+    assert counts == (None, None, 0) and counts.components == rep.components
 
 
 def test_torus_genus_formula():

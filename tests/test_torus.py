@@ -171,6 +171,7 @@ def test_crossings_rung_reads_the_power():
     # The letter walk, the oracle of the crossings rung, sums one walk over X
     # along orbits; where X^t has the identity permutation it must say exactly
     # whether every pair crosses k times in the t-fold word, walked in full.
+    # The rung itself, given X as unit blocks [i,i+1]^1, walks the same letters.
     rng = random.Random(43)
     agreed = 0
     for _ in range(600):
@@ -181,8 +182,11 @@ def test_crossings_rung_reads_the_power():
         counts, at = _pair_crossings(t, x * t)
         if at != list(range(t)):
             continue
+        units = [(i, i + 1, 1) for i in x]
         for k in set(counts.values()) | {0, 2}:
-            assert crossings_agree_on_letters(t, x, k) == (set(counts.values()) == {k}), (t, x, k)
+            agree = set(counts.values()) == {k}
+            assert crossings_agree_on_letters(t, x, k) == agree, (t, x, k)
+            assert _crossings_agree(t, units, k) == agree, (t, x, k)
         agreed += crossings_agree_on_letters(t, x, counts[0, 1])
     assert agreed >= 100, agreed
 
@@ -236,9 +240,9 @@ def test_strand_cap_of_the_crossings_rung():
     assert str(exc.value) == (f"t = 3001 exceeds the cap of {MAX_TORUS_STRANDS} "
                               "strands for the crossing counts")
     with pytest.raises(UnsupportedInput):
-        is_torus(parse_vector("26^4,101^102"))  # t = 101
-    cases = {"34^3,100^101": "crossings", "2^2,101^300": "length",
-             "101^300": "tparams", "6^20,101^102": "components"}
+        is_torus(parse_vector("31^5,151^152"))  # t = 151
+    cases = {"2^149,150^151": "crossings", "26^4,101^102": "crossings",
+             "2^2,151^152": "length", "151^300": "tparams", "16^10,151^153": "components"}
     for text, rung in cases.items():
         assert is_torus(parse_vector(text)).decided_by == rung, text
 
