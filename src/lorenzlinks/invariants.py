@@ -15,12 +15,13 @@ family <2^2m, p^q>, and burau_alexander computes det(rho(w) - I) for the
 reduced Burau matrix of any positive word with non-split closure, divided
 exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
-The Burau route runs on integers at one packed point t = 2^B, with B set
-from the matrix's own column sums, and reads the coefficients back as signed
-base-2^B digits (Kronecker substitution).  Leading full twists, which start
-every minimal word, are central and enter as the scalar t^n; only the letters
-after them are multiplied out, by rows from the last letter back, at a width
-set by those letters.  Morton's formula runs on one dense coefficient list,
+The Burau route runs on integers at packed points t = 2^b, reading
+coefficients back as signed base-2^b digits (Kronecker substitution).
+Leading full twists, which start every minimal word, are central and enter
+as the scalar t^n; only the letters after them are multiplied out, by rows
+from the last letter back.  One read of each entry's digits gives both the
+width B of the determinant and its entry at t = 2^B, and the quotient's
+digits are certified.  Morton's formula runs on one dense coefficient list,
 and each of its two divisions is one pass.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 from .braid import BraidWord, _cycles
@@ -48,6 +49,7 @@ MAX_RUNS = 100  # the k rotations of that list, which copy up to k * d_p entries
 MAX_MORTON_DEGREE = 1_000_000  # pq + 2m, the degree of the bracket in Morton's formula
 MAX_BURAU_STRANDS = 10  # burau_alexander's default caps, which admit the minimal word
 MAX_BURAU_LETTERS = 120  # of every known census knot: at most 9 strands, 116 letters
+LOOP_DIGITS = 24  # _digits reads fewer digits than this one at a time, measured
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -224,14 +226,17 @@ def _unit_normal(coeffs: list[int]) -> LaurentPoly:
 
 def _digits(x: int, bits: int) -> list[int]:
     """Signed base-2^bits digits of x, lowest first, in [-2^(bits-1), 2^(bits-1)),
-    for bits >= 2.  |x| < 2^(width-2) fits in width // bits such digits.  Adding
-    H, half a digit in every slot, leaves each slot of y = x + H its digit plus
-    half with no borrow, so each digit is one shift and mask of y; each shift
-    copies the rest of y, so the cost stays quadratic in the digits, with a
-    small constant."""
-    if not x:
-        return []
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    for bits >= 2.  Adding half a digit leaves a slot its digit plus half with
+    no borrow.  Below LOOP_DIGITS digits that is done slot by slot, shifting
+    each off; above, H adds half to every slot at once, at the cost of a
+    division, and each digit is one shift and mask of x + H."""
+    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+    if x.bit_length() < LOOP_DIGITS * bits:
+        while x:
+            x += half
+            out.append((x & mask) - half)
+            x >>= bits
+        return out
     width = ((x.bit_length() + 1) // bits + 1) * bits
     y = x + ((1 << width) - 1) // mask * half
     out = [(y >> s & mask) - half for s in range(0, width, bits)]
@@ -241,27 +246,29 @@ def _digits(x: int, bits: int) -> list[int]:
 
 
 def _determinant(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant on integers; every division is exact."""
+    """Bareiss fraction-free determinant on integers; every division is exact.
+    A row whose multiplier is zero is only rescaled."""
     n, sign, prev = len(rows), 1, 1
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if rows[i][k]), k)
         if pivot != k:
             rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
-        top = rows[k]
+        p, top = rows[k][k], rows[k][k + 1:]
         for row in rows[k + 1:]:
-            row[k + 1:] = [(top[k] * x - row[k] * y) // prev
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = top[k] or 1  # a zero column has zeroed every later entry
+            m = row[k]
+            row[k + 1:] = ([(p * x - m * y) // prev for x, y in zip(row[k + 1:], top)] if m
+                           else [p * x // prev for x in row[k + 1:]])
+        prev = p or 1  # a zero column has zeroed every later entry
     return sign * rows[-1][-1]
 
 
-def _burau_rows(n: int, letters: tuple[int, ...]) -> list[list[list[int]]]:
-    """The rows of rho of the word on n strands, each entry a coefficient list,
-    lowest first.  sigma_i differs from the identity only in row i (t, -t, 1
-    at columns i-1, i, i+1), so on the left it sets row i to t (row i-1 -
-    row i) + row i+1: the rows are built from the last letter back, packed at
-    t = 2^b.  On the right it adds column i to its neighbours; the same update
-    on sums bounds each column, and so sets b.  Rows and sums 0, n pad both ends."""
+def _burau_rows(n: int, letters: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """The rows of rho of the word on n strands, each entry packed at t = 2^b,
+    and b.  sigma_i differs from the identity only in row i (t, -t, 1 at
+    columns i-1, i, i+1), so on the left it sets row i to t (row i-1 - row i)
+    + row i+1: the rows are built from the last letter back.  On the right it
+    adds column i to its neighbours; the same update on sums bounds each
+    column, and so sets b.  Rows and sums 0, n pad both ends."""
     sums = [1] * (n + 1)
     for i in letters:
         sums[i - 1] += sums[i]
@@ -270,7 +277,30 @@ def _burau_rows(n: int, letters: tuple[int, ...]) -> list[list[list[int]]]:
     rows = [[int(r == c) for c in range(1, n)] for r in range(n + 1)]
     for i in reversed(letters):
         rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
-    return [[_digits(x, b) for x in rows[r]] for r in range(1, n)]
+    return rows[1:n], b
+
+
+def _quotient(det: int, n: int, bits: int) -> list[int]:
+    """
+    The digits of Delta = D / (1 + t + ... + t^(n-1)) at width bits, lowest
+    first, where det = D(2^bits) and every |D_j| < 2^(bits-2).
+
+    The bound on D does not bound Delta, so the digits Q are certified.  The
+    division of det by c = 1 + 2^bits + ... + 2^(bits(n-1)) must be exact,
+    and then h = Q (1 + t + ... + t^(n-1)) - D vanishes at t = 2^bits.  Each
+    coefficient of the product sums at most n digits of Q, so if
+    n max|Q_j| < 2^(bits-1), every |h_j| < 2^bits.  A nonzero h with such
+    coefficients is nonzero at 2^bits, since its lowest nonzero coefficient
+    is not a multiple of 2^bits, so h = 0 and Q is Delta.  Otherwise
+    ArithmeticError is raised.
+    """
+    quot, rem = divmod(det, ((1 << (bits * n)) - 1) // ((1 << bits) - 1))
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    digits = _digits(quot, bits)
+    if n * max(map(abs, digits), default=0) >= 1 << (bits - 1):
+        raise ArithmeticError(f"quotient digits too wide for {bits} bits")
+    return digits
 
 
 def _check_burau_size(strands: int, letters: int, max_strands: int = MAX_BURAU_STRANDS,
@@ -310,18 +340,23 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
         copies += 1
     lead = copies - copies % n
     rest = letters[lead * (n - 1):]
-    entries = _burau_rows(n, rest)  # R
-    # L1(R column) + 1 bounds the column of M - I, exactly when lead > 0: the
-    # -1 has degree 0 and every term of t^lead * R has degree >= n.
-    bound = 2 * math.prod(sum(abs(d) for e in c for d in e) + 1 for c in zip(*entries))
-    big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
-    det = _determinant([[(sum(d << (big * j) for j, d in enumerate(e)) << (big * lead))
-                         - (r == c) for c, e in enumerate(row, 1)]
-                        for r, row in enumerate(entries, 1)])
-    quot, rem = divmod(det, ((1 << (big * n)) - 1) // ((1 << big) - 1))
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    poly = _unit_normal(_digits(quot, big))
+    rows, b = _burau_rows(n, rest)  # R, packed at t = 2^b
+    # One pass decodes R's nonzero entries; L1(R column) + 1 bounds the column
+    # of M - I (exactly when lead > 0: no term of t^lead * R has degree < n).
+    entries = [[(c, _digits(x, b)) for c, x in enumerate(row) if x] for row in rows]
+    norms = [1] * (n - 1)
+    for c, digits in chain.from_iterable(entries):
+        norms[c] += sum(map(abs, digits))
+    big = (2 * math.prod(norms)).bit_length() + 2  # each Bareiss entry is a minor, below 2 prod
+    # Horner at width big gives each entry of t^lead * R - I; a zero one is -delta.
+    matrix = [[-(r == c) for c in range(n - 1)] for r in range(n - 1)]
+    for row, out in zip(entries, matrix):
+        for c, digits in row:
+            x = 0
+            for d in reversed(digits):
+                x = (x << big) + d
+            out[c] += x << (big * lead)
+    poly = _unit_normal(_quotient(_determinant(matrix), n, big))
     ends = {abs(c) for _, c in poly.terms[:1] + poly.terms[-1:]}
     if ends != {1} or poly.span != len(w) - n + 1:
         raise AssertionError(f"Burau result is not monic of span {len(w) - n + 1}")

@@ -74,6 +74,10 @@ X's letters come from its blocks, read from the runs (lorenz._x_blocks), only
 when the burau rung is reached, so M is never built, and an X past braid.MAX_LETTERS raises
 UnsupportedInput there.  The crossing counts hold a t x t table, so a t past
 MAX_TORUS_STRANDS raises UnsupportedInput once the components rung is passed.
+The burau rung's determinant has t - 1 rows, and each letter of X rewrites a
+row of 2|X| t bits, so once X's letters are built, a t past
+MAX_BURAU_RUNG_STRANDS or an |X| t past MAX_BURAU_RUNG_SIZE raises
+UnsupportedInput before its rows are.
 The rungs run in the order unknot, length, tparams, components, crossings,
 burau, factor_bound, garside.
 """
@@ -92,6 +96,8 @@ from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
 from .lorenz import LorenzVector, _x_blocks
 
 MAX_TORUS_STRANDS = 150  # t at the crossings rung, whose counts fill a t x t table
+MAX_BURAU_RUNG_STRANDS = 80  # t at the burau rung, whose determinant has t - 1 rows
+MAX_BURAU_RUNG_SIZE = 100_000  # |X| t there: each letter of X rewrites a row of 2|X| t bits
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,12 @@ def _verdict(rep: InvariantReport | _Counts) -> TorusVerdict:
     if not _crossings_agree(t, blocks, 2 * (q - t)):
         return NOT_TORUS["crossings"]
     x = _brackets(blocks)
+    if t > MAX_BURAU_RUNG_STRANDS:
+        raise UnsupportedInput(
+            f"t = {t} exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands for the Burau rung")
+    if len(x) * t > MAX_BURAU_RUNG_SIZE:
+        raise UnsupportedInput(
+            f"|X| t = {len(x) * t} exceeds the cap of {MAX_BURAU_RUNG_SIZE} for the Burau rung")
     if not _burau_agrees(t, q, x):
         return NOT_TORUS["burau"]
     return _garside_verdict(t, q, x)

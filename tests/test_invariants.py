@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 import random
 import statistics
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,8 @@ from lorenzlinks import (
 )
 from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
-from lorenzlinks.invariants import _burau_rows, _determinant, _digits, _tbraid_components
+from lorenzlinks.invariants import (_burau_rows, _determinant, _digits, _quotient,
+                                    _tbraid_components)
 from lorenzlinks.laurent import LaurentPoly
 
 
@@ -313,8 +316,8 @@ def test_burau_alexander_rows_match_the_polynomial_matrix():
         n = 2 + j % 9
         letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 60)))
         want = [[dict(e.terms) for e in row] for row in zip(*_burau_matrix(BraidWord(n, letters)))]
-        got = [[{e: c for e, c in enumerate(entry) if c} for entry in row]
-               for row in _burau_rows(n, letters)]
+        rows, b = _burau_rows(n, letters)
+        got = [[{e: c for e, c in enumerate(_digits(x, b)) if c} for x in row] for row in rows]
         assert got == want, (n, letters)
 
 
@@ -466,6 +469,34 @@ def test_burau_matches_polynomial_oracle():
     assert largest > 2**16
 
 
+def test_one_pass_kernel_reads_both_sides_of_the_digit_loop(monkeypatch):
+    # R's nonzero entries are decoded by the loop below LOOP_DIGITS digits and
+    # by the masks above; both kinds meet the oracle here.
+    sides = collections.Counter()
+
+    def rows_seen(n, letters):
+        rows, b = _burau_rows(n, letters)
+        sides.update("loop" if x.bit_length() < invariants.LOOP_DIGITS * b else "mask"
+                     for row in rows for x in row if x)
+        return rows, b
+
+    monkeypatch.setattr(invariants, "_burau_rows", rows_seen)
+    for w in _random_knot_words(random.Random(29), 120):
+        assert burau_alexander(w) == burau_oracle(w), format_word(w)
+    assert min(sides["loop"], sides["mask"]) >= 100, sides
+
+
+def test_quotient_digits_are_certified():
+    # Q = 1 + 50 t + t^2 fits 8-bit digits, but 3 * 50 >= 2^7: the digits of
+    # det / (1 + t + t^2) at t = 2^8 are refused, and 3 * 42 < 2^7 passes.
+    cyclotomic = 1 + (1 << 8) + (1 << 16)
+    assert _quotient(_pack([1, 42, 1], 8) * cyclotomic, 3, 8) == [1, 42, 1]
+    with pytest.raises(ArithmeticError, match="too wide"):
+        _quotient(_pack([1, 50, 1], 8) * cyclotomic, 3, 8)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _quotient(_pack([1, 42, 1], 8) * cyclotomic + 1, 3, 8)
+
+
 def _pack(digits: list[int], bits: int) -> int:
     return sum(d << (bits * e) for e, d in enumerate(digits))
 
@@ -492,6 +523,8 @@ def test_digits_edges():
         top = (1 << (bits - 1)) - 1
         for digits in ([top, -top, 0, top], [0, 0, -top], [top, 0, -1], [-top - 1, top]):
             assert _digits(_pack(digits, bits), bits) == digits
+        long = [top, -top, 0, top, -top - 1] * 6  # past LOOP_DIGITS: the masks
+        assert _digits(_pack(long, bits), bits) == long
     assert _digits(0, 5) == []
     assert _digits(-1, 5) == [-1]
 
@@ -511,6 +544,45 @@ def test_integer_determinant_by_leibniz():
         singular += expected == 0
         assert _determinant([row[:] for row in rows]) == expected, rows
     assert singular > 50
+
+
+def _fraction_determinant(rows: list[list[int]]) -> tuple[Fraction, collections.Counter]:
+    """The determinant by elimination over the rationals, with the pivot
+    taken as in _determinant, and the cases met: row swaps, zero multipliers
+    and singular matrices."""
+    a, det, seen = [[Fraction(x) for x in row] for row in rows], Fraction(1), collections.Counter()
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            seen["singular"] += 1
+            return Fraction(0), seen
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+            seen["swap"] += 1
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            m = row[k] / a[k][k]
+            seen["zero multiplier" if not m else "multiplier"] += 1
+            row[k:] = [x - m * y for x, y in zip(row[k:], a[k][k:])]
+    return det, seen
+
+
+def test_integer_determinant_by_fraction_elimination():
+    # sparse matrices of wide entries on 6 to 12 rows; every fourth has a
+    # row that is a combination of two others, so singular ones occur
+    rng = random.Random(29)
+    seen = collections.Counter()
+    for j in range(150):
+        n = rng.randint(6, 12)
+        rows = [[rng.choice((0, 1)) * rng.randint(-1 << 100, 1 << 100) for _ in range(n)]
+                for _ in range(n)]
+        if j % 4 == 0:
+            a, b, c = rng.sample(range(n), 3)
+            rows[a] = [3 * x - y for x, y in zip(rows[b], rows[c])]
+        want, cases = _fraction_determinant(rows)
+        seen.update(cases)
+        assert _determinant([row[:] for row in rows]) == want, rows
+    assert min(seen["swap"], seen["zero multiplier"], seen["singular"]) >= 30, seen
 
 
 def test_c4g_bound_on_census():

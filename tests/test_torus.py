@@ -42,6 +42,8 @@ from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.garside import nf_power
 from lorenzlinks.lorenz import _x_blocks
 from lorenzlinks.torus import (
+    MAX_BURAU_RUNG_SIZE,
+    MAX_BURAU_RUNG_STRANDS,
     MAX_TORUS_STRANDS,
     NOT_TORUS,
     TorusVerdict,
@@ -245,6 +247,28 @@ def test_strand_cap_of_the_crossings_rung():
              "2^2,151^152": "length", "151^300": "tparams", "16^10,151^153": "components"}
     for text, rung in cases.items():
         assert is_torus(parse_vector(text)).decided_by == rung, text
+
+
+def test_caps_of_the_burau_rung():
+    # Each passes every earlier rung and cap; the Burau rung refuses it once
+    # X's letters are built, before its rows are.  148^149,150^152 took 102 s
+    # there and 2^2,3^30000,5^2 0.64 s.
+    refused = {
+        "148^149,150^152": f"t = 150 exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands",
+        "128^1,130^128": f"t = 128 exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands",
+        "2^2,3^30000,5^2": f"|X| t = 180006 exceeds the cap of {MAX_BURAU_RUNG_SIZE}",
+    }
+    for text, message in refused.items():
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedInput) as exc:
+            is_torus(parse_vector(text))
+        assert time.perf_counter() - t0 < 0.1, text
+        assert str(exc.value) == message + " for the Burau rung"
+    with pytest.raises(UnsupportedInput, match="cap of 1000000 letters"):
+        is_torus(parse_vector("2^2,3^3000000,5^2"))  # the letter cap comes first
+    # at each cap: t = 80 on 237 letters, and |X| t = 99,006 on t = 3
+    for text in ("80^1,82^80", "2^2,3^16500,5^2"):
+        assert is_torus(parse_vector(text)).decided_by == "burau", text
 
 
 def test_cheap_rungs_agree_with_full_power():
