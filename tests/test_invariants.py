@@ -562,7 +562,7 @@ def _fraction_determinant(rows: list[list[int]]) -> tuple[Fraction, collections.
         det *= a[k][k]
         for row in a[k + 1:]:
             m = row[k] / a[k][k]
-            seen["zero multiplier" if not m else "multiplier"] += 1
+            seen["zero multiplier"] += not m
             row[k:] = [x - m * y for x, y in zip(row[k:], a[k][k:])]
     return det, seen
 
