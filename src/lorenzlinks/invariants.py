@@ -347,7 +347,8 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
     norms = [1] * (n - 1)
     for c, digits in chain.from_iterable(entries):
         norms[c] += sum(map(abs, digits))
-    big = (2 * math.prod(norms)).bit_length() + 2  # each Bareiss entry is a minor, below 2 prod
+    bound = 2 * math.prod(norms)
+    big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
     # Horner at width big gives each entry of t^lead * R - I; a zero one is -delta.
     matrix = [[-(r == c) for c in range(n - 1)] for r in range(n - 1)]
     for row, out in zip(entries, matrix):
