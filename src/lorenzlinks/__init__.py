@@ -18,7 +18,6 @@ from .braid import (
     format_word,
     parse_word,
     permutation_braid_word,
-    permutation_of_word,
     power,
 )
 from .census import CensusEntry, Report, load_census, report, report_all
@@ -34,8 +33,6 @@ from .laurent import LaurentPoly, normalize_units, poly_equal_up_to_units
 from .lorenz import (
     UNKNOT,
     LorenzVector,
-    Milestones,
-    StrandClassification,
     TmTriple,
     Unknot,
     classify_strands,
@@ -59,7 +56,6 @@ from .tlink import (
     parse_tparams,
     tbraid_word,
     torus_simplify,
-    torus_simplify_all,
     tparams_to_vector,
     vector_to_tparams,
     x_word,

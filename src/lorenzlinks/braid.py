@@ -38,6 +38,7 @@ from .errors import ParseError, UnsupportedInput
 
 MAX_LETTERS = 1_000_000  # the letters of a built word, the scale of MAX_MORTON_DEGREE
 MAX_WORD_STRANDS = 10_000  # the strands of a parsed word, which the Garside cut lists
+MAX_WORD_COST = 300_000_000  # L (n + 25) (L + 500) of a parsed word, measured: see parse_word
 
 
 def _inverse(image: Sequence[int]) -> tuple[int, ...]:
@@ -101,7 +102,9 @@ class BraidWord:
         return iter(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return concat_all(self.strands, (self, other))
+        if other.strands != self.strands:
+            raise ValueError(f"strand counts differ: {other.strands} != {self.strands}")
+        return BraidWord(self.strands, self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -144,19 +147,6 @@ def power(a: BraidWord, k: int) -> BraidWord:
     if k < 0:
         raise ValueError("negative powers of positive words do not exist")
     return BraidWord(a.strands, a.letters * k)
-
-
-def concat_all(strands: int, words: Iterable[BraidWord]) -> BraidWord:
-    letters: list[int] = []
-    for w in words:
-        if w.strands != strands:
-            raise ValueError(f"strand counts differ: {w.strands} != {strands}")
-        letters.extend(w.letters)
-    return BraidWord(strands, tuple(letters))
-
-
-def permutation_of_word(w: BraidWord) -> Permutation:
-    return Permutation.from_letters(w.strands, w.letters)
 
 
 def _cycles(image: Sequence[int]) -> int:
@@ -211,12 +201,30 @@ def format_word(w: BraidWord) -> str:
 
 
 def parse_word(text: str) -> BraidWord:
-    """Parse the "n=<strands> i j k ..." text format."""
+    """
+    Parse the "n=<strands> i j k ..." text format.
+
+    The L letter tokens are counted before any is converted, and the word is
+    refused when L (m + 25) (L + 500) passes MAX_WORD_COST, for m the smaller
+    of n and MAX_WORD_STRANDS.  That is the measured shape of the normal
+    form's cost: each letter costs the cut and the printed factors about
+    n + 25 steps, and a factor such as Delta can slide past every factor
+    before it, so a fold can take up to L slides.  Then the letters are read,
+    so a malformed word is a ParseError whatever its header, and n is
+    checked against MAX_WORD_STRANDS.
+    """
     tokens = text.split()
     if not tokens or not tokens[0].startswith("n="):
         raise ParseError(f"word must start with a strand header n=<int>: {text!r}")
     try:
         strands = int(tokens[0][2:])
+    except ValueError as exc:
+        raise ParseError(f"malformed braid word {text!r}") from exc
+    size = len(tokens) - 1
+    if size * (min(strands, MAX_WORD_STRANDS) + 25) * (size + 500) > MAX_WORD_COST:
+        raise UnsupportedInput(f"{size} letters on {strands} strands: L (n + 25) (L + 500)"
+                               f" exceeds the cap of {MAX_WORD_COST}")
+    try:
         letters = tuple(int(t) for t in tokens[1:])
     except ValueError as exc:
         raise ParseError(f"malformed braid word {text!r}") from exc

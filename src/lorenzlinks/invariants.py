@@ -135,7 +135,7 @@ def _counts(v: LorenzVector) -> _Counts:
 def invariant_report(v: LorenzVector) -> InvariantReport:
     """
     Full invariant report of the normalized input, from closed forms; no word
-    is built.  Crossings and strands are keyed as in Milestones.words.  The
+    is built.  Crossings and strands are keyed as in milestone_words.  The
     T-braid has sum s_i (r_i - 1) = S - p crossings, and the dual vector has
     the same total S with p and d_p swapped, so its T-braid has S - d_p.  Every
     milestone word has the same c - n, so the minimal word on t strands has
@@ -218,10 +218,11 @@ def morton_alexander(m: int, p: int, q: int) -> LaurentPoly:
 
 
 def _unit_normal(coeffs: list[int]) -> LaurentPoly:
-    """normalize_units of the polynomial with these coefficients, lowest first."""
-    terms = [(e, c) for e, c in enumerate(coeffs) if c]
-    low, sign = (terms[0][0], -1 if terms[0][1] < 0 else 1) if terms else (0, 1)
-    return LaurentPoly(tuple((e - low, sign * c) for e, c in terms))
+    """normalize_units of the polynomial with these coefficients, lowest first,
+    read once from the first nonzero one, whose sign it takes."""
+    low = next((e for e, c in enumerate(coeffs) if c), 0)
+    sign = -1 if coeffs and coeffs[low] < 0 else 1
+    return LaurentPoly(tuple([(e, sign * c) for e, c in enumerate(coeffs[low:]) if c]))
 
 
 def _digits(x: int, bits: int) -> list[int]:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
-from .braid import BraidWord, Permutation, _brackets, _check_letters
-from .errors import ParseError
+from .braid import MAX_LETTERS, BraidWord, Permutation, _brackets, _check_letters
+from .errors import ParseError, UnsupportedInput
 
 
 class VectorOrderWarning(UserWarning):
@@ -73,7 +73,11 @@ class LorenzVector:
 
     @property
     def d(self) -> tuple[int, ...]:
-        """The p entries, an O(p) expansion for the builders of size-p objects."""
+        """The p entries, an O(p) expansion for the builders of size-p objects,
+        refused when p + d_p passes MAX_LETTERS, before anything is expanded."""
+        if self.strands > MAX_LETTERS:
+            raise UnsupportedInput(
+                f"p + d_p = {self.strands} exceeds the cap of {MAX_LETTERS} strands")
         return tuple(chain.from_iterable(repeat(r, s) for r, s in self.rle))
 
     @property
@@ -208,29 +212,18 @@ def trip_number(v: LorenzVector) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class StrandClassification:
-    """Strand types by start position: kinds[s-1] in {"LL","LR","RL","RR"}."""
-
-    kinds: tuple[str, ...]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {kind: self.kinds.count(kind) for kind in ("LL", "LR", "RL", "RR")}
-
-
-def classify_strands(v: LorenzVector) -> StrandClassification:
+def classify_strands(v: LorenzVector) -> dict[str, int]:
     """
-    Type each strand by whether its endpoints lie in the left group 1..p or
-    the right group p+1..p+d_p.  The overcrossing ends i + d_i increase with
-    i, so the last t of the p overcrossing strands, and only they, end on the
-    right.  That leaves t left-group ends to the undercrossing strands, which
-    fill the free ends in increasing order, so the first t of them end on the
-    left.  By start position: LL p-t times, LR t, RL t and RR d_p-t times.
+    Count each strand type, by whether its endpoints lie in the left group
+    1..p or the right group p+1..p+d_p.  The overcrossing ends i + d_i
+    increase with i, so the last t of the p overcrossing strands, and only
+    they, end on the right.  That leaves t left-group ends to the
+    undercrossing strands, which fill the free ends in increasing order, so
+    the first t of them end on the left.  By start position the types run LL
+    p-t times, LR t, RL t and RR d_p-t times, so the counts fix them.
     """
     t = trip_number(v)  # requires v normalized
-    return StrandClassification(
-        ("LL",) * (v.p - t) + ("LR",) * t + ("RL",) * t + ("RR",) * (v.dp - t))
+    return {"LL": v.p - t, "LR": t, "RL": t, "RR": v.dp - t}
 
 
 def dual_vector(v: LorenzVector) -> LorenzVector:
@@ -329,46 +322,15 @@ def minimal_braid_word(v: LorenzVector) -> BraidWord:
     return BraidWord(t, _brackets([(1, t, t)] + _x_blocks(v, t)))
 
 
-@dataclass(frozen=True)
-class Milestones:
-    """The four braid representations of one Lorenz link."""
-
-    lorenz: BraidWord
-    t_braid: BraidWord
-    dual_t_braid: BraidWord
-    minimal: BraidWord
-
-    @property
-    def words(self) -> dict[str, BraidWord]:
-        return {
-            "lorenz": self.lorenz,
-            "t": self.t_braid,
-            "t_dual": self.dual_t_braid,
-            "minimal": self.minimal,
-        }
-
-    @property
-    def crossings(self) -> dict[str, int]:
-        return {name: len(w) for name, w in self.words.items()}
-
-    @property
-    def braid_indices(self) -> dict[str, int]:
-        return {name: w.strands for name, w in self.words.items()}
-
-    @property
-    def c_minus_n(self) -> int:
-        """Crossings minus strands; identical for all four representations."""
-        return len(self.lorenz) - self.lorenz.strands
-
-
-def milestone_words(v: LorenzVector) -> Milestones:
-    """Lorenz braid, twisted-torus word, its dual, and the minimal word."""
+def milestone_words(v: LorenzVector) -> dict[str, BraidWord]:
+    """The Lorenz braid, the twisted-torus word, its dual and the minimal word,
+    keyed "lorenz", "t", "t_dual" and "minimal" as in InvariantReport.crossings."""
     from .tlink import tbraid_word, vector_to_tparams
 
     _require_normalized(v)
-    return Milestones(
-        lorenz=lorenz_braid_word(v),
-        t_braid=tbraid_word(vector_to_tparams(v)),
-        dual_t_braid=tbraid_word(vector_to_tparams(dual_vector(v))),
-        minimal=minimal_braid_word(v),
-    )
+    return {
+        "lorenz": lorenz_braid_word(v),
+        "t": tbraid_word(vector_to_tparams(v)),
+        "t_dual": tbraid_word(vector_to_tparams(dual_vector(v))),
+        "minimal": minimal_braid_word(v),
+    }

@@ -10,7 +10,8 @@ words built here realise that identity inside the braid group and are checked
 against the T-braid word through the normal-form engine.
 
 k is not an invariant of the link: adjacent pairs with equal r merge, and the
-torus rewrite (see torus_simplify) can lower it by one, but never by two.
+torus rewrite (see torus_simplify) can lower it by one, but never by two;
+torus._tparams_pair reads from the runs whether it leaves one pair.
 Canonical parameters have strictly increasing r.
 """
 
@@ -160,16 +161,3 @@ def torus_simplify(t: TParams) -> tuple[TParams, bool]:
     rewritten = TParams(t.pairs[:-1] + ((s_k, r_k),))
     return rewritten.canonical(), True
 
-
-def torus_simplify_all(t: TParams) -> TParams:
-    """
-    The canonical parameters, after one torus rewrite if it lowers k.
-
-    A merge leaves (r_{k-1}, s_{k-1} + r_k) as the last pair, and a second
-    merge would need s_{k-1} + r_k = r_{k-2} < r_k, so one rewrite is all.
-    """
-    current = t.canonical()
-    if current.k == 1:
-        return current
-    simplified, _ = torus_simplify(current)
-    return simplified if simplified.k < current.k else current

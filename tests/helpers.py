@@ -268,8 +268,8 @@ def is_left_weighted(a: Permutation, b: Permutation) -> bool:
     return descents(b) <= descents(a.inverse)
 
 
-# Reference for tlink.torus_simplify_all: the torus rewrite applied until it
-# no longer lowers k.
+# Reference for torus._tparams_pair: the torus rewrite applied until it no
+# longer lowers k.
 def torus_simplify_loop(t: TParams) -> TParams:
     current = t.canonical()
     while current.k > 1:

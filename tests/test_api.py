@@ -6,18 +6,16 @@ import lorenzlinks
 
 PUBLIC = [
     "BraidWord", "CensusEntry", "InvariantReport", "LaurentPoly", "LorenzVector",
-    "Milestones", "NormalForm", "ParseError", "Permutation", "Report",
-    "StrandClassification", "TParams", "TmTriple", "TorusVerdict", "UNKNOT", "Unknot",
-    "UnsupportedInput", "bracket", "braid_index", "burau_alexander", "classify_strands",
-    "cycle_count", "dual_tparams", "dual_vector", "flip_word", "format_tparams",
-    "format_vector", "format_word", "invariant_report", "is_torus", "load_census",
-    "lorenz_braid_word", "lorenz_permutation", "milestone_words", "minimal_braid_word",
-    "morton_alexander", "normal_form", "normalize", "normalize_units", "parse_tparams",
-    "parse_vector", "parse_word", "periodic_word", "permutation_braid_word",
-    "permutation_of_word", "poly_equal_up_to_units", "power", "report", "report_all",
-    "tbraid_word", "tm_triple", "torus_simplify", "torus_simplify_all",
-    "tparams_to_vector", "trip_number", "vector_from_triple", "vector_to_tparams",
-    "words_equal", "x_word", "y_word", "z_word",
+    "NormalForm", "ParseError", "Permutation", "Report", "TParams", "TmTriple",
+    "TorusVerdict", "UNKNOT", "Unknot", "UnsupportedInput", "bracket", "braid_index",
+    "burau_alexander", "classify_strands", "cycle_count", "dual_tparams", "dual_vector",
+    "flip_word", "format_tparams", "format_vector", "format_word", "invariant_report",
+    "is_torus", "load_census", "lorenz_braid_word", "lorenz_permutation", "milestone_words",
+    "minimal_braid_word", "morton_alexander", "normal_form", "normalize", "normalize_units",
+    "parse_tparams", "parse_vector", "parse_word", "periodic_word", "permutation_braid_word",
+    "poly_equal_up_to_units", "power", "report", "report_all", "tbraid_word", "tm_triple",
+    "torus_simplify", "tparams_to_vector", "trip_number", "vector_from_triple",
+    "vector_to_tparams", "words_equal", "x_word", "y_word", "z_word",
 ]
 
 

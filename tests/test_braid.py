@@ -17,7 +17,6 @@ from lorenzlinks import (
     parse_vector,
     parse_word,
     permutation_braid_word,
-    permutation_of_word,
     power,
 )
 from lorenzlinks.braid import MAX_LETTERS, MAX_WORD_STRANDS, _brackets, _cycles
@@ -92,9 +91,9 @@ def test_letters_validated():
         BraidWord(2, (0,))
 
 
-def test_permutation_of_word_examples():
-    assert permutation_of_word(BraidWord(5)).image == (1, 2, 3, 4, 5)
-    assert permutation_of_word(BraidWord(3, (1, 2))).image == (3, 1, 2)
+def test_permutation_from_letters_examples():
+    assert Permutation.from_letters(5, ()).image == (1, 2, 3, 4, 5)
+    assert Permutation.from_letters(3, (1, 2)).image == (3, 1, 2)
     perm = lorenz_permutation(parse_vector("2^2,3^2"))
     assert perm.image == (3, 4, 6, 7, 1, 2, 5)
 
@@ -105,8 +104,8 @@ def test_permutation_composition_matches_concat():
         n = rng.randint(2, 7)
         a = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
         b = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
-        assert permutation_of_word(a * b) == then(permutation_of_word(a),
-                                                  permutation_of_word(b))
+        assert Permutation.from_letters(n, (a * b).letters) == then(
+            Permutation.from_letters(n, a.letters), Permutation.from_letters(n, b.letters))
 
 
 def test_cycle_count():
@@ -170,7 +169,8 @@ def test_flip_word():
         assert flip_word(flip_word(w)) == w
         assert len(flip_word(w)) == len(w)
         w0 = longest(n)
-        assert permutation_of_word(flip_word(w)) == then(then(w0, permutation_of_word(w)), w0)
+        assert Permutation.from_letters(n, flip_word(w).letters) == then(
+            then(w0, Permutation.from_letters(n, w.letters)), w0)
 
 
 def test_permutation_braid_word_small():
@@ -185,7 +185,7 @@ def test_permutation_braid_word_exhaustive(n):
         p = Permutation(img)
         w = permutation_braid_word(p)
         assert len(w) == inversions(p)
-        assert permutation_of_word(w) == p
+        assert Permutation.from_letters(n, w.letters) == p
 
 
 def test_permutation_braid_word_skips_strands_that_cross_nothing():

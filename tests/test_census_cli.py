@@ -24,6 +24,7 @@ from lorenzlinks import (
     minimal_braid_word,
     normalize,
     parse_vector,
+    parse_word,
     report,
     report_all,
     vector_to_tparams,
@@ -347,15 +348,23 @@ def test_cli_alexander_burau_checks_the_caps_before_the_word(capsys):
 
 
 def test_cli_refuses_words_past_the_caps_before_building_them(capsys):
-    # the letter cap sizes minimal and tbraid from their blocks, and the strand
-    # cap refuses a parsed word before the Garside cut lists its strands
+    # the letter cap sizes minimal and tbraid from their blocks, the strand
+    # cap refuses a parsed word before the Garside cut lists its strands, and
+    # the cost cap reads only the header and the token count: 1,000 letters
+    # on 10,000 strands took 5.8 s and about 390 MB, and on 3 strands
+    # sigma_1^10000 then Deltas, each sliding past every sigma_1, longer still
     letters = f"error: word exceeds the cap of {braid.MAX_LETTERS} letters\n"
     strands = f"error: n = 100000000 exceeds the cap of {braid.MAX_WORD_STRANDS} strands\n"
+    cost = (f"error: {{}} letters on {{}} strands: L (n + 25) (L + 500) exceeds the cap of"
+            f" {braid.MAX_WORD_COST}\n")
     for argv, err in ((["minimal", "2^100000000,3^2"], letters),
                       (["tbraid", "2^100000000,3^2"], letters),
                       (["normal-form", "n=100000000 1"], strands),
                       (["word-eq", "n=100000000 1", "n=100000000 1"], strands),
-                      (["word-eq", "n=3 1", "n=100000000 1"], strands)):
+                      (["word-eq", "n=3 1", "n=100000000 1"], strands),
+                      (["normal-form", "n=10000" + " 1" * 1000], cost.format(1000, 10000)),
+                      (["word-eq", "n=3 1", "n=3" + " 1" * 10000 + " 1 2 1" * 3334],
+                       cost.format(20002, 3))):
         for flags in ([], ["--json"]):
             tracemalloc.start()
             try:
@@ -369,6 +378,17 @@ def test_cli_refuses_words_past_the_caps_before_building_them(capsys):
     # at the strand cap a word is still taken
     assert cli.main(["normal-form", f"n={braid.MAX_WORD_STRANDS} 1 {braid.MAX_WORD_STRANDS - 1}"]) == 0
     assert capsys.readouterr().out == f"n={braid.MAX_WORD_STRANDS} factors=1: 1 9999\n"
+    # at the cost cap the costliest pattern measured, on 3 strands, is read
+    # and normalized near the 0.25 s budget; one letter more is refused
+    size = max(n for n in range(10_000) if n * 28 * (n + 500) <= braid.MAX_WORD_COST)
+    word = [1] * (size // 2) + ([1, 2, 1] * size)[:size - size // 2]
+    text = "n=3 " + " ".join(map(str, word))
+    start = time.perf_counter()
+    assert cli.main(["normal-form", text]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    with pytest.raises(UnsupportedInput):
+        parse_word(text + " 1")
 
 
 def test_cli_is_torus_refuses_an_x_past_the_letter_cap():

@@ -11,7 +11,7 @@ from lorenzlinks import (BraidWord, bracket, minimal_braid_word, normal_form, pa
                          periodic_word, power, words_equal)
 from lorenzlinks import garside
 from lorenzlinks.garside import left_slide, meet, multiply, nf_power, right_complement
-from lorenzlinks.braid import Permutation, permutation_of_word
+from lorenzlinks.braid import Permutation
 
 
 def test_braid_relation_same_normal_form():
@@ -90,7 +90,8 @@ def test_length_conservation_and_left_weighting():
         assert all(not is_identity(f) for f in nf.factors)
         for a, b in zip(nf.factors, nf.factors[1:]):
             assert is_left_weighted(a, b)
-        assert permutation_of_word(nf.word()) == permutation_of_word(w)
+        assert Permutation.from_letters(w.strands, nf.word().letters) == Permutation.from_letters(
+            w.strands, w.letters)
         assert normal_form(nf.word()) == nf
 
 

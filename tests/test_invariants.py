@@ -14,6 +14,7 @@ from helpers import (_burau_matrix, assert_raises, burau_oracle, fitted_exponent
                      random_normalized_vector)
 from lorenzlinks import (
     BraidWord,
+    Permutation,
     burau_alexander,
     cycle_count,
     format_word,
@@ -27,7 +28,6 @@ from lorenzlinks import (
     normalize,
     parse_vector,
     periodic_word,
-    permutation_of_word,
     poly_equal_up_to_units,
     tbraid_word,
     vector_to_tparams,
@@ -107,10 +107,8 @@ def test_genus_consistent_across_milestones():
     for _ in range(200):
         v = random_normalized_vector(rng, max_p=16, max_r=9)
         rep = invariant_report(v)
-        mw = milestone_words(v)
-        for name, c in mw.crossings.items():
-            n = mw.braid_indices[name]
-            assert 2 * rep.genus == c - n + 2 - rep.components
+        for w in milestone_words(v).values():
+            assert 2 * rep.genus == len(w) - w.strands + 2 - rep.components
 
 
 def test_closed_forms_match_word_route():
@@ -122,12 +120,13 @@ def test_closed_forms_match_word_route():
                 for _ in range(50)]
     for v in vectors:
         rep = invariant_report(v)
-        mw = milestone_words(normalize(v))
-        assert list(rep.crossings.items()) == list(mw.crossings.items()), v
-        assert list(rep.braid_indices.items()) == list(mw.braid_indices.items()), v
-        assert rep.c_minus_n == mw.c_minus_n
-        assert rep.min_crossing_number == len(mw.minimal)
-        assert rep.trip == mw.minimal.strands
+        words = milestone_words(normalize(v))
+        assert list(rep.crossings.items()) == [(name, len(w)) for name, w in words.items()], v
+        assert list(rep.braid_indices.items()) == [
+            (name, w.strands) for name, w in words.items()], v
+        assert rep.c_minus_n == len(words["lorenz"]) - words["lorenz"].strands
+        assert rep.min_crossing_number == len(words["minimal"])
+        assert rep.trip == words["minimal"].strands
 
 
 @pytest.mark.slow
@@ -240,10 +239,9 @@ def test_alexander_agrees_across_all_milestones():
     # representations must close to links with one Alexander polynomial
     for text in ("2^2,3^2", "2^3", "2^2,3^5", "2^2,4^3", "3^2,4^3"):
         v = parse_vector(text)
-        mw = milestone_words(v)
         polys = [
             burau_alexander(w, max_strands=12, max_letters=60)
-            for w in mw.words.values()
+            for w in milestone_words(v).values()
         ]
         assert all(poly_equal_up_to_units(polys[0], p) for p in polys[1:]), text
 
@@ -330,7 +328,7 @@ def test_burau_links_match_polynomial_oracle():
         letters = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))]
         rng.shuffle(letters)
         w = BraidWord(n, tuple(letters))
-        if cycle_count(permutation_of_word(w)) > 1:
+        if cycle_count(Permutation.from_letters(w.strands, w.letters)) > 1:
             assert burau_alexander(w) == burau_oracle(w), format_word(w)
             links += 1
 
@@ -361,7 +359,7 @@ def test_full_twist_peel_matches_polynomial_oracle():
                 w = BraidWord(n, delta * (k * n + j) + tuple(tail))
                 got = burau_alexander(w, max_letters=len(w))
                 assert got == burau_oracle(w), (n, k, j, format_word(w))
-                kinds.add(cycle_count(permutation_of_word(w)) > 1)
+                kinds.add(cycle_count(Permutation.from_letters(w.strands, w.letters)) > 1)
     assert kinds == {False, True}  # knots and non-split links both occur
 
 
@@ -445,7 +443,7 @@ def _random_knot_words(rng: random.Random, count: int) -> list[BraidWord]:
         else:
             letters = [rng.randint(1, n - 1) for _ in range(size)]
         w = BraidWord(n, tuple(letters[:size]))
-        if cycle_count(permutation_of_word(w)) == 1:
+        if cycle_count(Permutation.from_letters(w.strands, w.letters)) == 1:
             words.append(w)
     return words
 

@@ -14,6 +14,7 @@ from lorenzlinks import (
     UNKNOT,
     LorenzVector,
     ParseError,
+    Permutation,
     TParams,
     UnsupportedInput,
     classify_strands,
@@ -29,7 +30,6 @@ from lorenzlinks import (
     normalize,
     parse_vector,
     permutation_braid_word,
-    permutation_of_word,
     tbraid_word,
     tm_triple,
     tparams_to_vector,
@@ -290,6 +290,27 @@ def test_lorenz_permutation_hopf():
     assert cycle_count(perm) == 2
 
 
+def test_entries_past_the_cap_are_refused_before_they_are_expanded():
+    # p + d_p = 30,000,003 and 10^20 + 7: the entries d, and so the Lorenz
+    # permutation on p + d_p strands, are refused from the runs
+    for text in ("2^30000000,3^5", "2^99999999999999999999,3^5"):
+        v = parse_vector(text)
+        for expand in (lambda: v.d, lambda: lorenz_permutation(v)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(UnsupportedInput) as exc:
+                    expand()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (text, peak)
+            assert str(exc.value) == f"p + d_p = {v.strands} exceeds the cap of {MAX_LETTERS} strands"
+    # at the cap the entries are expanded, one strand past it they are refused
+    assert len(LorenzVector(((2, MAX_LETTERS - 2),)).d) == MAX_LETTERS - 2
+    with pytest.raises(UnsupportedInput):
+        LorenzVector(((3, MAX_LETTERS - 2),)).d
+
+
 def test_trip_number():
     assert trip_number(parse_vector(FAVORITE)) == 3
     assert trip_number(parse_vector("3^6,8^3")) == 3
@@ -310,13 +331,31 @@ def test_trip_number_agrees_with_count():
         assert trip_number(v) == count, v
 
 
+def _kinds(counts: dict[str, int]) -> tuple[str, ...]:
+    """The strand types in start order, which the counts fix: LL, LR, RL, RR."""
+    return tuple(itertools.chain.from_iterable(itertools.repeat(k, c) for k, c in counts.items()))
+
+
 def test_classify_strands():
-    cls = classify_strands(parse_vector(FAVORITE))
-    assert cls.counts == {"LL": 6, "LR": 3, "RL": 3, "RR": 5}
-    cls = classify_strands(parse_vector("2^2"))
-    assert cls.counts == {"LL": 0, "LR": 2, "RL": 2, "RR": 0}
-    cls = classify_strands(parse_vector("3^6,8^3"))
-    assert cls.counts == {"LL": 6, "LR": 3, "RL": 3, "RR": 5}
+    for text, counts in ((FAVORITE, {"LL": 6, "LR": 3, "RL": 3, "RR": 5}),
+                         ("2^2", {"LL": 0, "LR": 2, "RL": 2, "RR": 0}),
+                         ("3^6,8^3", {"LL": 6, "LR": 3, "RL": 3, "RR": 5})):
+        v = parse_vector(text)
+        assert classify_strands(v) == counts
+        assert _kinds(classify_strands(v)) == _classify_by_walk(v), text
+
+
+def test_classify_strands_on_huge_p_builds_nothing():
+    # p = 10^20 + 4: the counts come from the runs, no strand is listed
+    v = parse_vector("2^99999999999999999999,3^5")
+    tracemalloc.start()
+    try:
+        counts = classify_strands(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert counts == {"LL": 10 ** 20 + 1, "LR": 3, "RL": 3, "RR": 0}
 
 
 def _classify_by_walk(v: LorenzVector) -> tuple[str, ...]:
@@ -337,7 +376,7 @@ def test_classification_matches_permutation_walk():
     rng = random.Random(78)
     for _ in range(2000):
         v = random_normalized_vector(rng)
-        assert classify_strands(v).kinds == _classify_by_walk(v), v
+        assert _kinds(classify_strands(v)) == _classify_by_walk(v), v
 
 
 def test_classification_counts_formula():
@@ -345,7 +384,7 @@ def test_classification_counts_formula():
     for _ in range(100):
         v = random_normalized_vector(rng)
         t = trip_number(v)
-        counts = classify_strands(v).counts
+        counts = classify_strands(v)
         assert counts == {
             "LL": v.p - t,
             "LR": t,
@@ -487,28 +526,30 @@ def test_torus_vector_minimal_length():
 
 
 def test_milestones_favorite():
-    mw = milestone_words(parse_vector(FAVORITE))
-    assert mw.crossings == {"lorenz": 36, "t": 27, "t_dual": 28, "minimal": 22}
-    assert mw.braid_indices == {"lorenz": 17, "t": 8, "t_dual": 9, "minimal": 3}
-    assert mw.c_minus_n == 19
-    for name in mw.words:
-        assert mw.crossings[name] - mw.braid_indices[name] == 19
+    words = milestone_words(parse_vector(FAVORITE))
+    assert list(words) == ["lorenz", "t", "t_dual", "minimal"]
+    assert {name: len(w) for name, w in words.items()} == {
+        "lorenz": 36, "t": 27, "t_dual": 28, "minimal": 22}
+    assert {name: w.strands for name, w in words.items()} == {
+        "lorenz": 17, "t": 8, "t_dual": 9, "minimal": 3}
+    for w in words.values():
+        assert len(w) - w.strands == 19
 
 
 def test_milestones_trefoil():
-    mw = milestone_words(parse_vector("2^3"))
-    assert mw.minimal.letters == (1, 1, 1)
-    assert mw.c_minus_n == 1
+    words = milestone_words(parse_vector("2^3"))
+    assert words["minimal"].letters == (1, 1, 1)
+    assert len(words["lorenz"]) - words["lorenz"].strands == 1
 
 
 def test_milestones_component_agreement():
     rng = random.Random(17)
     for _ in range(60):
         v = random_normalized_vector(rng, max_p=14, max_r=8)
-        mw = milestone_words(v)
-        mus = {cycle_count(permutation_of_word(w)) for w in mw.words.values()}
+        words = milestone_words(v).values()
+        mus = {cycle_count(Permutation.from_letters(w.strands, w.letters)) for w in words}
         assert len(mus) == 1
-        cs = set(mw.crossings[n] - mw.braid_indices[n] for n in mw.crossings)
+        cs = {len(w) - w.strands for w in words}
         assert len(cs) == 1
 
 

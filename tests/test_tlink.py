@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from lorenzlinks import (
     parse_vector,
     tbraid_word,
     torus_simplify,
-    torus_simplify_all,
     tparams_to_vector,
     trip_number,
     vector_to_tparams,
@@ -28,7 +28,7 @@ from lorenzlinks import (
     y_word,
     z_word,
 )
-from lorenzlinks.braid import concat_all
+from lorenzlinks.braid import BraidWord
 
 
 def test_tparams_validation_and_canonical():
@@ -72,15 +72,13 @@ def test_xyz_favorite():
     x, y, z = x_word(v), y_word(v), z_word(v)
     assert x.letters == bracket(1, 2, 8).letters * 4 + bracket(1, 3, 8).letters * 2
     assert y.letters == bracket(1, 3, 8).letters * 3
-    assert z.letters == concat_all(
-        8, [bracket(3, 8, 8), bracket(2, 7, 8), bracket(1, 4, 8)]
-    ).letters
+    assert z.letters == (bracket(3, 8, 8) * bracket(2, 7, 8) * bracket(1, 4, 8)).letters
     assert (len(x), len(y), len(z)) == (8, 6, 13)
 
 
 def test_yz_identity_favorite():
     v = parse_vector("2^4,3^2,6,8^2")
-    rhs = concat_all(8, [bracket(1, 6, 8), bracket(1, 8, 8), bracket(1, 8, 8)])
+    rhs = bracket(1, 6, 8) * bracket(1, 8, 8) * bracket(1, 8, 8)
     assert words_equal(y_word(v) * z_word(v), rhs)
 
 
@@ -99,9 +97,9 @@ def test_xyz_equals_tbraid_random():
         t_word = tbraid_word(vector_to_tparams(v))
         assert words_equal(x_word(v) * y_word(v) * z_word(v), t_word)
         d = v.d
-        rhs = concat_all(
-            v.dp,
-            [bracket(1, d[i - 1], v.dp) for i in range(v.p - trip_number(v) + 1, v.p + 1)],
+        rhs = math.prod(
+            (bracket(1, d[i - 1], v.dp) for i in range(v.p - trip_number(v) + 1, v.p + 1)),
+            start=BraidWord(v.dp),
         )
         assert words_equal(y_word(v) * z_word(v), rhs)
 
@@ -175,28 +173,10 @@ def test_torus_simplify_examples():
     assert applied and simplified.pairs == ((2, 2), (4, 3))
     simplified, applied = torus_simplify(TParams(((2, 3), (5, 2))))
     assert not applied and simplified.pairs == ((2, 3), (5, 2))
-    assert torus_simplify_all(TParams(((3, 6), (8, 3)))).pairs == ((3, 14),)
-
-
-def test_torus_simplify_all_stops_when_k_stays():
+    assert torus_simplify_loop(TParams(((3, 6), (8, 3)))).pairs == ((3, 14),)
     tp = TParams(((2, 2), (4, 3)))
     assert torus_simplify(tp) == (TParams(((2, 2), (3, 4))), True)  # a swap: k stays 2
-    assert torus_simplify_all(tp) == tp
-
-
-def test_torus_simplify_all_is_one_rewrite_on_a_grid():
-    # every canonical TParams with k <= 3, 2 <= r <= 9 and 1 <= s <= 8
-    one_pair = 0
-    for k in (1, 2, 3):
-        for rs in itertools.combinations(range(2, 13), k):
-            for ss in itertools.product(range(1, 9), repeat=k):
-                tp = TParams(tuple(zip(rs, ss)))
-                reduced = torus_simplify_all(tp)
-                assert reduced == torus_simplify_loop(tp), tp
-                merges = k == 2 and ss[1] == rs[0] and ss[0] % rs[0] == 0
-                assert (reduced.k == 1) == (k == 1 or merges), tp
-                one_pair += reduced.k == 1
-    assert one_pair > 8 * 8  # some k = 2 parameters merge
+    assert torus_simplify_loop(tp) == tp
 
 
 def test_torus_simplify_preserves_closure_invariants():

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from helpers import (
     random_normalized_vector,
     random_rewrite,
     rewrite_classes,
+    torus_simplify_loop,
 )
 from lorenzlinks import (
     BraidWord,
@@ -33,7 +35,6 @@ from lorenzlinks import (
     poly_equal_up_to_units,
     report,
     torus_simplify,
-    torus_simplify_all,
     tparams_to_vector,
     vector_to_tparams,
 )
@@ -308,25 +309,45 @@ def test_tparams_reduction_agrees_with_the_fold():
     reduced_count = residue = 0
     for _ in range(2000):
         v = random_normalized_vector(rng, max_p=18, max_r=8)
-        reduced = torus_simplify_all(vector_to_tparams(v))
+        pair = _tparams_pair(v.rle)
         t, length = _minimal_sizes(v)
         if length % (t - 1):
-            assert reduced.k > 1, v
+            assert pair is None, v
             continue
         fold = _fold(v)
-        if reduced.k == 1:
-            (r, s), = reduced.pairs
-            assert fold == TorusVerdict("torus", min(r, s), max(r, s)), (v, reduced)
+        if pair is not None:
+            r, s = pair
+            assert fold == TorusVerdict("torus", min(r, s), max(r, s)), (v, pair)
             reduced_count += 1
         elif fold.is_torus:
             residue += 1
     assert reduced_count >= 300 and residue >= 20, (reduced_count, residue)
 
 
+def _assert_rule_is_the_rewrite(tp: TParams) -> None:
+    """_tparams_pair leaves one pair exactly when the rewrite loop does, the same one."""
+    reduced, pair = torus_simplify_loop(tp), _tparams_pair(tp.pairs)
+    assert (pair is not None) == (reduced.k == 1), tp
+    if pair is not None:
+        assert pair == reduced.pairs[0], tp
+
+
 def test_tparams_rule_on_the_runs_is_the_rewrite():
-    # The O(1) rule of the T-parameter rung against the rewrite it replaces:
-    # one pair is left for the same vectors, and it is the same pair.  Seeded
-    # vectors, with k = 2 vectors built to meet s_2 = r_1 half the time.
+    # The O(1) rule of the T-parameter rung against the torus rewrite applied
+    # until it no longer lowers k (the oracle), first on every canonical
+    # TParams with k <= 3, 2 <= r <= 12 and 1 <= s <= 8
+    one_pair = 0
+    for k in (1, 2, 3):
+        for rs in itertools.combinations(range(2, 13), k):
+            for ss in itertools.product(range(1, 9), repeat=k):
+                tp = TParams(tuple(zip(rs, ss)))
+                _assert_rule_is_the_rewrite(tp)
+                merges = k == 2 and ss[1] == rs[0] and ss[0] % rs[0] == 0
+                assert (_tparams_pair(tp.pairs) is not None) == (k == 1 or merges), tp
+                one_pair += _tparams_pair(tp.pairs) is not None
+    assert one_pair > 8 * 8  # some k = 2 parameters merge
+    # then on seeded vectors, with k = 2 vectors built to meet s_2 = r_1 half
+    # the time
     rng = random.Random(53)
     left = 0
     for j in range(4000):
@@ -334,12 +355,8 @@ def test_tparams_rule_on_the_runs_is_the_rewrite():
         if j % 2 and len(v.rle) == 2:
             (r1, s1), (r2, _) = v.rle
             v = LorenzVector(((r1, s1 if j % 4 == 1 else r1 * rng.randint(1, 4)), (r2, r1)))
-        reduced = torus_simplify_all(vector_to_tparams(v))
-        pair = _tparams_pair(v.rle)
-        assert (pair is not None) == (reduced.k == 1), v
-        if pair is not None:
-            assert pair == reduced.pairs[0], v
-            left += len(v.rle) == 2
+        _assert_rule_is_the_rewrite(vector_to_tparams(v))
+        left += len(v.rle) == 2 and _tparams_pair(v.rle) is not None
     assert left >= 100, left
 
 
