@@ -35,8 +35,8 @@ from lorenzlinks import (
 from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.invariants import (_burau_rows, _determinant, _digits, _quotient,
-                                    _tbraid_components)
-from lorenzlinks.laurent import LaurentPoly
+                                    _tbraid_components, _unit_normal)
+from lorenzlinks.laurent import LaurentPoly, normalize_units
 
 
 def test_trefoil_report():
@@ -477,6 +477,19 @@ def test_burau_matches_polynomial_oracle(monkeypatch):
         largest = max(largest, max(abs(c) for _, c in got.terms))
     assert largest > 2**16
     assert min(sides["loop"], sides["mask"]) >= 300, sides
+
+
+def test_unit_normal_is_normalize_units():
+    # both Alexander routes give a nonzero constant term, so the shift to
+    # degree 0 is checked here, on seeded lists with leading zeros
+    rng = random.Random(30)
+    lists = [[], [0, 0], [0, -3], [5]]
+    for _ in range(500):
+        coeffs = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 12))]
+        lists.append([0] * rng.randint(0, 3) + coeffs)
+    for coeffs in lists:
+        terms = tuple((e, c) for e, c in enumerate(coeffs) if c)
+        assert _unit_normal(coeffs) == normalize_units(LaurentPoly(terms)), coeffs
 
 
 def test_quotient_digits_are_certified():

@@ -291,7 +291,7 @@ def test_lorenz_permutation_hopf():
 
 
 def test_entries_past_the_cap_are_refused_before_they_are_expanded():
-    # p + d_p = 30,000,003 and 10^20 + 7: the entries d, and so the Lorenz
+    # p + d_p = 30,000,008 and 10^20 + 7: the entries d, and so the Lorenz
     # permutation on p + d_p strands, are refused from the runs
     for text in ("2^30000000,3^5", "2^99999999999999999999,3^5"):
         v = parse_vector(text)
