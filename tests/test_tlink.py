@@ -174,9 +174,30 @@ def test_torus_simplify_examples():
     simplified, applied = torus_simplify(TParams(((2, 3), (5, 2))))
     assert not applied and simplified.pairs == ((2, 3), (5, 2))
     assert torus_simplify_loop(TParams(((3, 6), (8, 3)))).pairs == ((3, 14),)
+
+
+def test_torus_simplify_all_stops_when_k_stays():
     tp = TParams(((2, 2), (4, 3)))
     assert torus_simplify(tp) == (TParams(((2, 2), (3, 4))), True)  # a swap: k stays 2
     assert torus_simplify_loop(tp) == tp
+
+
+def test_torus_simplify_all_is_one_rewrite_on_a_grid():
+    # every canonical TParams with k <= 3, 2 <= r <= 12 and 1 <= s <= 8: the
+    # rewrite loop does what one torus_simplify call does when it lowers k,
+    # and nothing otherwise
+    one_pair = 0
+    for k in (1, 2, 3):
+        for rs in itertools.combinations(range(2, 13), k):
+            for ss in itertools.product(range(1, 9), repeat=k):
+                tp = TParams(tuple(zip(rs, ss)))
+                once, _ = torus_simplify(tp)
+                reduced = torus_simplify_loop(tp)
+                assert reduced == (once if once.k < tp.k else tp), tp
+                merges = k == 2 and ss[1] == rs[0] and ss[0] % rs[0] == 0
+                assert (reduced.k == 1) == (k == 1 or merges), tp
+                one_pair += reduced.k == 1
+    assert one_pair > 8 * 8  # some k = 2 parameters merge
 
 
 def test_torus_simplify_preserves_closure_invariants():
