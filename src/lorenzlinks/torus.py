@@ -61,8 +61,12 @@ stopping past 2(q-t) factors:
   prod_(w^m = 1) (y w - 1) = (-1)^m (1 - y^m), so
       det(rho(delta^q) - I) = (-1)^t (1 - y^(t/d))^d / (y - 1),
   dividing out the factor y - 1 of zeta = 1.  The left side is
-  det(rho(M) - I) = det(2^t rho(X) - I).  If they differ, M is not conjugate
-  to delta^q and the link is NotTorus; if they agree, the fold decides.
+  det(rho(M) - I) = det(2^t rho(X) - I).  Similar matrices have equal
+  traces too, and these come first: the q-th powers of all t-th roots of
+  unity sum to t if t | q, else to 0, so the eigenvalues give
+  tr rho(delta^q)(2) = y (t [t | q] - 1), while tr rho(M) = 2^t tr rho(X).
+  If either side differs, M is not conjugate to delta^q and the link is
+  NotTorus; if both agree, the fold decides.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
@@ -74,10 +78,10 @@ X's letters come from its blocks, read from the runs (lorenz._x_blocks), only
 when the burau rung is reached, so M is never built, and an X past braid.MAX_LETTERS raises
 UnsupportedInput there.  The crossing counts hold a t x t table, so a t past
 MAX_TORUS_STRANDS raises UnsupportedInput once the components rung is passed.
-The burau rung's determinant has t - 1 rows, and each letter of X rewrites a
-row of 2|X| t bits, so once X's letters are built, a t past
-MAX_BURAU_RUNG_STRANDS or an |X| t past MAX_BURAU_RUNG_SIZE raises
-UnsupportedInput before its rows are.
+Each letter of X rewrites a burau row of 2|X| t bits, so an |X| t past
+MAX_BURAU_RUNG_SIZE raises UnsupportedInput before the rows are built.  The
+determinant has t - 1 rows, so a t past MAX_BURAU_RUNG_STRANDS raises it
+once the traces agree, before the rows are decoded.
 The rungs run in the order unknot, length, tparams, components, crossings,
 burau, factor_bound, garside.
 """
@@ -96,8 +100,8 @@ from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
 from .lorenz import LorenzVector, _x_blocks
 
 MAX_TORUS_STRANDS = 150  # t at the crossings rung, whose counts fill a t x t table
-MAX_BURAU_RUNG_STRANDS = 80  # t at the burau rung, whose determinant has t - 1 rows
-MAX_BURAU_RUNG_SIZE = 100_000  # |X| t there: each letter of X rewrites a row of 2|X| t bits
+MAX_BURAU_RUNG_STRANDS = 80  # t at the burau determinant, which has t - 1 rows
+MAX_BURAU_RUNG_SIZE = 100_000  # |X| t at the burau build, of |X| rewrites of 2|X| t bits
 
 
 @dataclass(frozen=True)
@@ -166,25 +170,48 @@ def _crossings_agree(t: int, blocks: list[tuple[int, int, int]], k: int) -> bool
     return True
 
 
-def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
-    """The rows of rho(X) at s = 2, for X's letters x on t strands, built from
-    the last letter back as in invariants._burau_rows.  A row is packed
-    into one integer, slot c of b bits holding column c; the entries stay
-    below 3^|X| in size, so b = 2|X| + 2 bits keep every slot exact.  Rows 0
-    and t pad both ends."""
+def _packed_at_2(t: int, x: tuple[int, ...]) -> tuple[list[int], int]:
+    """The rows of rho(X) at s = 2, for X's letters x on t strands, and b,
+    built from the last letter back as in invariants._burau_rows.  Slot c of
+    b bits holds column c; the entries stay below 3^|X| in size, so
+    b = 2|X| + 2 bits keep every slot exact.  Rows 0 and t pad both ends."""
     b = 2 * len(x) + 2
     rows = [0] + [1 << (b * r) for r in range(t - 1)] + [0]
     for i in reversed(x):
         rows[i] = ((rows[i - 1] - rows[i]) << 1) + rows[i + 1]
-    pad = [0] * (t - 1)
-    return [(_digits(row, b) + pad)[:t - 1] for row in rows[1:t]]
+    return rows[1:t], b
+
+
+def _decoded(rows: list[int], b: int) -> list[list[int]]:
+    """Packed rows of b-bit slots as lists of their signed entries."""
+    pad = [0] * len(rows)
+    return [(_digits(row, b) + pad)[:len(rows)] for row in rows]
+
+
+def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
+    """The rows of rho(X) at s = 2, for X's letters x on t strands, decoded."""
+    return _decoded(*_packed_at_2(t, x))
+
+
+def _trace(rows: list[int], b: int) -> int:
+    """The sum of slot r of row r, each read past the borrow of the slots
+    below it, which are less than half of slot r's unit in size."""
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    return sum(((((row + (1 << b * r >> 1)) >> b * r) + half) & mask) - half
+               for r, row in enumerate(rows))
 
 
 def _burau_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
-    """Whether det(2^t rho(X)(2) - I) = det(rho(delta^q)(2) - I), for X's
-    letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    """Whether 2^t rho(X)(2) has the trace and det(rho - I) of rho(delta^q)(2),
+    for X's letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    rows, b = _packed_at_2(t, x)
+    if _trace(rows, b) << t != (t * (q % t == 0) - 1) << q:
+        return False
+    if t > MAX_BURAU_RUNG_STRANDS:
+        raise UnsupportedInput(
+            f"t = {t} exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands for the Burau rung")
     rows = [[(e << t) - (r == c) for c, e in enumerate(row)]
-            for r, row in enumerate(_burau_at_2(t, x))]
+            for r, row in enumerate(_decoded(rows, b))]
     y, d = 1 << q, gcd(t, q)
     closed = (1 - y ** (t // d)) ** d // (y - 1)
     return _determinant(rows) == (-closed if t % 2 else closed)
@@ -225,9 +252,6 @@ def _verdict(rep: InvariantReport | _Counts) -> TorusVerdict:
     if not _crossings_agree(t, blocks, 2 * (q - t)):
         return NOT_TORUS["crossings"]
     x = _brackets(blocks)
-    if t > MAX_BURAU_RUNG_STRANDS:
-        raise UnsupportedInput(
-            f"t = {t} exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands for the Burau rung")
     if len(x) * t > MAX_BURAU_RUNG_SIZE:
         raise UnsupportedInput(
             f"|X| t = {len(x) * t} exceeds the cap of {MAX_BURAU_RUNG_SIZE} for the Burau rung")

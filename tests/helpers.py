@@ -12,7 +12,9 @@ import pytest
 
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
                          TmTriple, TParams, normalize_units, torus_simplify)
+from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
+from lorenzlinks.torus import _burau_at_2
 
 
 def random_normalized_vector(
@@ -161,6 +163,18 @@ def burau_oracle(w: BraidWord) -> LaurentPoly:
         col[c] = col[c] - one
     det = _determinant(cols)
     return normalize_units(det.exact_div(LaurentPoly.from_dict({e: 1 for e in range(n)})))
+
+
+# The torus Burau rung as it was before it read the trace, on the determinant
+# alone, kept as the oracle for lorenzlinks.torus._burau_agrees.
+def burau_determinant_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
+    """Whether det(2^t rho(X)(2) - I) = det(rho(delta^q)(2) - I), for X's
+    letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    rows = [[(e << t) - (r == c) for c, e in enumerate(row)]
+            for r, row in enumerate(_burau_at_2(t, x))]
+    y, d = 1 << q, math.gcd(t, q)
+    closed = (1 - y ** (t // d)) ** d // (y - 1)
+    return invariants._determinant(rows) == (-closed if t % 2 else closed)
 
 
 # Morton's formula as it was on Laurent polynomials, kept as the oracle for

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     _burau_matrix,
+    burau_determinant_agrees,
     central_power,
     crossings_agree_on_letters,
     fitted_exponent,
@@ -41,6 +42,7 @@ from lorenzlinks import (
 from lorenzlinks.braid import _brackets
 from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.garside import nf_power
+from lorenzlinks import torus
 from lorenzlinks.lorenz import _x_blocks
 from lorenzlinks.torus import (
     MAX_BURAU_RUNG_SIZE,
@@ -52,7 +54,9 @@ from lorenzlinks.torus import (
     _burau_at_2,
     _crossings_agree,
     _garside_verdict,
+    _packed_at_2,
     _tparams_pair,
+    _trace,
 )
 
 
@@ -251,12 +255,13 @@ def test_strand_cap_of_the_crossings_rung():
 
 
 def test_caps_of_the_burau_rung():
-    # Each passes every earlier rung and cap; the Burau rung refuses it once
-    # X's letters are built, before its rows are.  148^149,150^152 took 102 s
-    # there and 2^2,3^30000,5^2 0.64 s.
+    # Each passes every earlier rung and cap.  The size cap refuses it once
+    # X's letters are built, before its rows are; the strand cap once the
+    # traces agree, before the determinant.  148^149,150^152 took 102 s there
+    # and 2^2,3^30000,5^2 0.64 s; 41^2,82^81 is T(81,83).
     refused = {
-        "148^149,150^152": f"t = 150 exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands",
-        "128^1,130^128": f"t = 128 exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands",
+        "148^149,150^152": f"|X| t = 3330150 exceeds the cap of {MAX_BURAU_RUNG_SIZE}",
+        "41^2,82^81": f"t = 81 exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands",
         "2^2,3^30000,5^2": f"|X| t = 180006 exceeds the cap of {MAX_BURAU_RUNG_SIZE}",
     }
     for text, message in refused.items():
@@ -267,6 +272,11 @@ def test_caps_of_the_burau_rung():
         assert str(exc.value) == message + " for the Burau rung"
     with pytest.raises(UnsupportedInput, match="cap of 1000000 letters"):
         is_torus(parse_vector("2^2,3^3000000,5^2"))  # the letter cap comes first
+    # the trace decides 128^1,130^128 past the strand cap, with no determinant
+    t0 = time.perf_counter()
+    verdict = is_torus(parse_vector("128^1,130^128"))
+    assert time.perf_counter() - t0 < 0.1
+    assert (str(verdict), verdict.decided_by) == ("NotTorus", "burau")
     # at each cap: t = 80 on 237 letters, and |X| t = 99,006 on t = 3
     for text in ("80^1,82^80", "2^2,3^16500,5^2"):
         assert is_torus(parse_vector(text)).decided_by == "burau", text
@@ -403,7 +413,7 @@ def test_census_rung_histogram():
         is_torus(entry.vector).decided_by for entry in load_census() if entry.known
     )
     # every census row that passes the length rule is NotTorus, by components,
-    # the crossing counts or the Burau determinant, so none reaches the fold
+    # the crossing counts or the Burau trace, so none reaches the fold
     assert rungs == {"length": 72, "components": 11, "crossings": 3, "burau": 21}
 
 
@@ -532,6 +542,31 @@ def test_envelope_of_the_burau_rung():
     _envelope(_burau, "burau")
 
 
+@pytest.mark.slow
+def test_envelope_of_the_burau_trace_on_long_x():
+    # n,(n+2)^n has t = n and |X| = 3n - 3; the trace decides each in
+    # is_torus, so this times the rung, called directly, for t up to 148,
+    # past the strand cap that guards the determinant.
+    sizes = []
+    times = []
+    for n in (20, 28, 44, 68, 100, 148):
+        v = parse_vector(f"{n},{n + 2}^{n}")
+        assert is_torus(v).decided_by == "burau", n
+        t, length = _minimal_sizes(v)
+        q, x = length // (t - 1), _brackets(_x_blocks(normalize(v), t))
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            agrees = _burau_agrees(t, q, x)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert (t, len(x), agrees) == (n, 3 * n - 3, False), n
+        sizes.append(t)
+        times.append(best)
+    exponent = fitted_exponent(sizes, times)
+    assert exponent <= 4.0, (sizes, times, exponent)
+
+
 def _at_2(poly: LaurentPoly) -> int:
     return sum(c << e for e, c in poly.terms)
 
@@ -548,6 +583,22 @@ def test_burau_rows_match_the_polynomial_matrix():
         assert _burau_at_2(t, x) == want, (t, x)
 
 
+def test_burau_trace_reads_the_packed_diagonal():
+    # The trace read off the packed rows against the diagonal sums of the
+    # decoded rows and of the Laurent-polynomial route at s = 2, on the seeded
+    # words of the row test; many diagonals hold a negative entry.
+    rng = random.Random(47)
+    negative = 0
+    for j in range(300):
+        t = 2 + j % 9
+        x = tuple(rng.randint(1, t - 1) for _ in range(rng.randint(0, 90) if j >= 9 else 0))
+        diagonal = [row[r] for r, row in enumerate(_burau_at_2(t, x))]
+        polys = [_at_2(col[c]) for c, col in enumerate(_burau_matrix(BraidWord(t, x)))]
+        assert _trace(*_packed_at_2(t, x)) == sum(diagonal) == sum(polys), (t, x)
+        negative += min(diagonal) < 0
+    assert negative >= 200, negative
+
+
 def test_burau_closed_form_is_the_power_of_delta():
     # X = delta^(q-t) makes M = delta^q, so the two sides of the rung must
     # agree, and the closed form for q + 1 must differ from them.
@@ -559,7 +610,7 @@ def test_burau_closed_form_is_the_power_of_delta():
 
 
 def test_burau_rung_is_sound():
-    # Conjugate braids have equal det(rho - I), so the rung, called directly
+    # Conjugate braids have equal traces and det(rho - I), so the rung, called directly
     # on every vector that passes the length rule, agrees on every Torus
     # verdict, and the fold, called directly, gives the factor bound wherever
     # it does not.  On these draws it refuses every vector that an earlier
@@ -580,3 +631,30 @@ def test_burau_rung_is_sound():
     assert seen["burau", False] >= 50 and seen["crossings", False] >= 150, seen
     assert seen["tparams", True] >= 500 and seen["garside", True] >= 30, seen
     assert seen["factor_bound", False] == 0, seen
+
+
+def _trace_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
+    """Whether 2^t rho(X)(2) has the trace of rho(delta^q)(2), on decoded rows."""
+    trace = sum(row[r] for r, row in enumerate(_burau_at_2(t, x)))
+    return trace << t == (t * (q % t == 0) - 1) << q
+
+
+def test_burau_trace_keeps_the_determinant_verdicts(monkeypatch):
+    # The rung reads the trace before the determinant.  With the
+    # determinant-only rung of the helpers in its place, is_torus must give
+    # the same verdict and rung on every seeded draw.  The trace decides at
+    # least 500 "burau" verdicts at seed 7, and the determinant at least one.
+    decided = collections.Counter()
+    for seed, draws, max_p, max_r in ((7, 20000, 18, 8), (5, 8000, 60, 20)):
+        rng = random.Random(seed)
+        vectors = [random_normalized_vector(rng, max_p=max_p, max_r=max_r) for _ in range(draws)]
+        got = [is_torus(v) for v in vectors]
+        with monkeypatch.context() as patch:
+            patch.setattr(torus, "_burau_agrees", burau_determinant_agrees)
+            want = [is_torus(v) for v in vectors]
+        for v, verdict, oracle in zip(vectors, got, want):
+            assert (verdict, verdict.decided_by) == (oracle, oracle.decided_by), v
+            if verdict.decided_by == "burau":
+                decided[seed, "determinant" if _trace_agrees(*_x(v)) else "trace"] += 1
+    assert decided[7, "trace"] >= 500, decided
+    assert decided[7, "determinant"] + decided[5, "determinant"] >= 1, decided
