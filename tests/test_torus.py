@@ -39,10 +39,10 @@ from lorenzlinks import (
     tparams_to_vector,
     vector_to_tparams,
 )
+from lorenzlinks import torus
 from lorenzlinks.braid import _brackets
 from lorenzlinks.errors import UnsupportedInput
 from lorenzlinks.garside import nf_power
-from lorenzlinks import torus
 from lorenzlinks.lorenz import _x_blocks
 from lorenzlinks.torus import (
     MAX_BURAU_RUNG_SIZE,
