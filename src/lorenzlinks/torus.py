@@ -51,22 +51,15 @@ stopping past 2(q-t) factors:
   twice and a moved and an unmoved strand once.
 - burau: rho, the reduced Burau representation (Burau 1936) in the
   convention of invariants.py, is a homomorphism, so conjugate braids have
-  similar matrices and equal det(rho - I).  rho(delta) = s C, where C maps
-  e_j to e_(j+1) for j < t-1 and e_(t-1) to -(e_1 + ... + e_(t-1)): the
-  companion matrix of 1 + x + ... + x^(t-1), whose roots are the t-th roots
-  of unity zeta != 1.  These are distinct, so C is diagonalisable, C^t = I,
+  similar matrices and equal traces.  rho(delta) = s C, where C maps e_j to
+  e_(j+1) for j < t-1 and e_(t-1) to -(e_1 + ... + e_(t-1)): the companion
+  matrix of 1 + x + ... + x^(t-1), whose roots are the t-th roots of unity
+  zeta != 1.  These are distinct, so C is diagonalisable, C^t = I,
   rho(Delta^2) = rho(delta^t) = s^t I, and rho(delta^q) has the eigenvalues
-  (s zeta)^q.  At s = 2, with y = 2^q and d = gcd(t, q), zeta^q runs d times
-  over the (t/d)-th roots of unity as zeta runs over all t-th roots, and
-  prod_(w^m = 1) (y w - 1) = (-1)^m (1 - y^m), so
-      det(rho(delta^q) - I) = (-1)^t (1 - y^(t/d))^d / (y - 1),
-  dividing out the factor y - 1 of zeta = 1.  The left side is
-  det(rho(M) - I) = det(2^t rho(X) - I).  Similar matrices have equal
-  traces too, and these come first: the q-th powers of all t-th roots of
-  unity sum to t if t | q, else to 0, so the eigenvalues give
-  tr rho(delta^q)(2) = y (t [t | q] - 1), while tr rho(M) = 2^t tr rho(X).
-  If either side differs, M is not conjugate to delta^q and the link is
-  NotTorus; if both agree, the fold decides.
+  (s zeta)^q.  The q-th powers of all t-th roots of unity sum to t if t | q,
+  else to 0, so at s = 2, with y = 2^q, tr rho(delta^q)(2) = y (t [t | q] - 1),
+  while tr rho(M) = 2^t tr rho(X).  If the traces differ, M is not conjugate
+  to delta^q and the link is NotTorus; if they agree, the fold decides.
 - factor bound: if X^t = Delta^(2(q-t)), every prefix of the fold
   left-divides it, so it has at most 2(q-t) left-greedy factors.
 - garside: a fold of X^t within 2(q-t) factors is Delta^(2(q-t)).  It holds
@@ -79,9 +72,7 @@ when the burau rung is reached, so M is never built, and an X past braid.MAX_LET
 UnsupportedInput there.  The crossing counts hold a t x t table, so a t past
 MAX_TORUS_STRANDS raises UnsupportedInput once the components rung is passed.
 Each letter of X rewrites a burau row of 2|X| t bits, so an |X| t past
-MAX_BURAU_RUNG_SIZE raises UnsupportedInput before the rows are built.  The
-determinant has t - 1 rows, so a t past MAX_BURAU_RUNG_STRANDS raises it
-once the traces agree, before the rows are decoded.
+MAX_BURAU_RUNG_SIZE raises UnsupportedInput before the rows are built.
 The rungs run in the order unknot, length, tparams, components, crossings,
 burau, factor_bound, garside.
 """
@@ -96,11 +87,10 @@ from typing import Optional
 from .braid import _brackets
 from .errors import UnsupportedInput
 from .garside import _cut, _product
-from .invariants import InvariantReport, _counts, _Counts, _determinant, _digits
+from .invariants import InvariantReport, _counts, _Counts
 from .lorenz import LorenzVector, _x_blocks
 
 MAX_TORUS_STRANDS = 150  # t at the crossings rung, whose counts fill a t x t table
-MAX_BURAU_RUNG_STRANDS = 80  # t at the burau determinant, which has t - 1 rows
 MAX_BURAU_RUNG_SIZE = 100_000  # |X| t at the burau build, of |X| rewrites of 2|X| t bits
 
 
@@ -182,17 +172,6 @@ def _packed_at_2(t: int, x: tuple[int, ...]) -> tuple[list[int], int]:
     return rows[1:t], b
 
 
-def _decoded(rows: list[int], b: int) -> list[list[int]]:
-    """Packed rows of b-bit slots as lists of their signed entries."""
-    pad = [0] * len(rows)
-    return [(_digits(row, b) + pad)[:len(rows)] for row in rows]
-
-
-def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
-    """The rows of rho(X) at s = 2, for X's letters x on t strands, decoded."""
-    return _decoded(*_packed_at_2(t, x))
-
-
 def _trace(rows: list[int], b: int) -> int:
     """The sum of slot r of row r, each read past the borrow of the slots
     below it, which are less than half of slot r's unit in size."""
@@ -202,19 +181,9 @@ def _trace(rows: list[int], b: int) -> int:
 
 
 def _burau_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
-    """Whether 2^t rho(X)(2) has the trace and det(rho - I) of rho(delta^q)(2),
-    for X's letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
-    rows, b = _packed_at_2(t, x)
-    if _trace(rows, b) << t != (t * (q % t == 0) - 1) << q:
-        return False
-    if t > MAX_BURAU_RUNG_STRANDS:
-        raise UnsupportedInput(
-            f"t = {t} exceeds the cap of {MAX_BURAU_RUNG_STRANDS} strands for the Burau rung")
-    rows = [[(e << t) - (r == c) for c, e in enumerate(row)]
-            for r, row in enumerate(_decoded(rows, b))]
-    y, d = 1 << q, gcd(t, q)
-    closed = (1 - y ** (t // d)) ** d // (y - 1)
-    return _determinant(rows) == (-closed if t % 2 else closed)
+    """Whether 2^t rho(X)(2) has the trace of rho(delta^q)(2), for X's letters
+    x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    return _trace(*_packed_at_2(t, x)) << t == (t * (q % t == 0) - 1) << q
 
 
 def _garside_verdict(t: int, q: int, x: tuple[int, ...]) -> TorusVerdict:

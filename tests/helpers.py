@@ -14,7 +14,7 @@ from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permu
                          TmTriple, TParams, normalize_units, torus_simplify)
 from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
-from lorenzlinks.torus import _burau_at_2
+from lorenzlinks.torus import _packed_at_2
 
 
 def random_normalized_vector(
@@ -165,11 +165,23 @@ def burau_oracle(w: BraidWord) -> LaurentPoly:
     return normalize_units(det.exact_div(LaurentPoly.from_dict({e: 1 for e in range(n)})))
 
 
-# The torus Burau rung as it was before it read the trace, on the determinant
-# alone, kept as the oracle for lorenzlinks.torus._burau_agrees.
+# The rows of the torus Burau rung decoded, the oracle for its packed build
+# and its trace; the rung itself reads the trace off the packed rows.
+def _burau_at_2(t: int, x: tuple[int, ...]) -> list[list[int]]:
+    """The rows of rho(X) at s = 2, for X's letters x on t strands, decoded
+    from torus._packed_at_2 as lists of their t - 1 signed entries."""
+    rows, b = _packed_at_2(t, x)
+    return [(invariants._digits(row, b) + [0] * t)[:t - 1] for row in rows]
+
+
+# The torus Burau rung on det(rho - I) alone, as it was before it read the
+# trace, kept as the reference for lorenzlinks.torus._burau_agrees, which
+# reads the trace alone: is_torus gives the same verdicts with either.
 def burau_determinant_agrees(t: int, q: int, x: tuple[int, ...]) -> bool:
     """Whether det(2^t rho(X)(2) - I) = det(rho(delta^q)(2) - I), for X's
-    letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I."""
+    letters x on t strands; M = delta^t X, and rho(delta^t) = 2^t I.  With
+    y = 2^q and d = gcd(t, q), the eigenvalues (2 zeta)^q of rho(delta^q)(2)
+    give det(rho(delta^q)(2) - I) = (-1)^t (1 - y^(t/d))^d / (y - 1)."""
     rows = [[(e << t) - (r == c) for c, e in enumerate(row)]
             for r, row in enumerate(_burau_at_2(t, x))]
     y, d = 1 << q, math.gcd(t, q)

@@ -1,6 +1,9 @@
 """The public surface of the package, pinned: an export that goes or comes edits this list."""
 
+import importlib
+import re
 import types
+from pathlib import Path
 
 import lorenzlinks
 
@@ -25,3 +28,15 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+def test_readme_caps_are_the_code_caps():
+    # Every `module.MAX_NAME` = N that README states names a constant of that
+    # module with the value N, so a cap that goes or changes cannot linger in
+    # the docs.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    stated = re.findall(r"`(\w+)\.(MAX_\w+)`\s*=\s*(\d[\d,]*\d|\d)", readme)
+    assert len(stated) >= 8, stated
+    for module, name, value in stated:
+        caps = vars(importlib.import_module(f"lorenzlinks.{module}"))
+        assert caps.get(name) == int(value.replace(",", "")), (module, name, value)
