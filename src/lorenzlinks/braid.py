@@ -29,12 +29,11 @@ separated letters, e.g. "n=3 1 2 1" for sigma_1 sigma_2 sigma_1 in B_3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, UnsupportedInput
+from .errors import ParseError, UnsupportedInput, _Value
 
 MAX_LETTERS = 1_000_000  # the letters of a built word, the scale of MAX_MORTON_DEGREE
 MAX_WORD_STRANDS = 10_000  # the strands of a parsed word, which the Garside cut lists
@@ -49,16 +48,16 @@ def _inverse(image: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of {1..n} in image form: image[a-1] = pi(a)."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.image!r}")
+    def __init__(self, image: tuple[int, ...]) -> None:
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {image!r}")
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> "Permutation":
@@ -76,24 +75,24 @@ class Permutation:
     def __call__(self, a: int) -> int:
         return self.image[a - 1]
 
-    @cached_property
+    @property
     def inverse(self) -> "Permutation":
         return Permutation(_inverse(self.image))
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """A positive braid word: a strand count and a sequence of letters."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()) -> None:
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        if self.letters and not 1 <= min(self.letters) <= max(self.letters) < self.strands:
-            bad = next(i for i in self.letters if not 1 <= i < self.strands)
-            raise ValueError(f"letter {bad} out of range 1..{self.strands - 1}")
+        if letters and not 1 <= min(letters) <= max(letters) < strands:
+            bad = next(i for i in letters if not 1 <= i < strands)
+            raise ValueError(f"letter {bad} out of range 1..{strands - 1}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -177,6 +176,22 @@ def flip_word(w: BraidWord) -> BraidWord:
     return BraidWord(n, tuple(n - i for i in w.letters))
 
 
+def _image_word(image: tuple[int, ...]) -> list[int]:
+    """The letters of permutation_braid_word for a permutation in image form.
+    Only the strands from the first moved one to the last cross, so the walk
+    spans them alone; one scan in C finds them on a wide factor."""
+    moved = list(compress(count(), map(ne, image, count(1))))
+    if not moved:
+        return []
+    lo, hi = moved[0], moved[-1]
+    letters, top = [], lo  # top: the highest end of the strands placed so far
+    for a, x in enumerate(image[lo:hi + 1], start=lo + 1):
+        if x < top:  # strand a crosses the placed strands that end above it
+            letters.extend(range(a - 1, a - 1 - sum(y > x for y in image[:a - 1]), -1))
+        top = max(top, x)
+    return letters
+
+
 def permutation_braid_word(p: Permutation) -> BraidWord:
     """
     A deterministic reduced positive word for the permutation braid of p.
@@ -186,12 +201,7 @@ def permutation_braid_word(p: Permutation) -> BraidWord:
     p(b) > p(a), emitting a descending run of letters.  The word length is the
     inversion count of p, so any two strands cross at most once.
     """
-    letters, top = [], 0  # top: the highest end of the strands placed so far
-    for a, x in enumerate(p.image, start=1):
-        if x < top:  # strand a crosses the placed strands that end above it
-            letters.extend(range(a - 1, a - 1 - sum(y > x for y in p.image[:a - 1]), -1))
-        top = max(top, x)
-    return BraidWord(p.size, tuple(letters))
+    return BraidWord(p.size, tuple(_image_word(p.image)))
 
 
 def format_word(w: BraidWord) -> str:

@@ -13,12 +13,11 @@ of the batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ParseError
+from .errors import ParseError, _Value
 from .invariants import InvariantReport, invariant_report
 from .lorenz import LorenzVector, format_vector, parse_vector
 from .torus import TorusVerdict, _verdict
@@ -26,11 +25,14 @@ from .torus import TorusVerdict, _verdict
 REPORT_SCHEMA = "lorenzlinks.report/2"
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    name: str
-    vector: Optional[LorenzVector]  # None for "?" rows
-    warnings: tuple[str, ...] = ()
+class CensusEntry(_Value):
+    __slots__ = ("name", "vector", "warnings")
+
+    def __init__(self, name: str, vector: Optional[LorenzVector],
+                 warnings: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vector", vector)  # None for "?" rows
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def known(self) -> bool:
@@ -91,16 +93,20 @@ def load_census(path: Union[str, Path, None] = None) -> list[CensusEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """Everything the toolkit can say about one vector."""
 
-    name: str
-    vector: Optional[LorenzVector]
-    invariants: Optional[InvariantReport]
-    torus: Optional[TorusVerdict]
-    warnings: tuple[str, ...] = ()
-    error: Optional[str] = None
+    __slots__ = ("name", "vector", "invariants", "torus", "warnings", "error")
+
+    def __init__(self, name: str, vector: Optional[LorenzVector],
+                 invariants: Optional[InvariantReport], torus: Optional[TorusVerdict],
+                 warnings: tuple[str, ...] = (), error: Optional[str] = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "error", error)
 
     def to_dict(self) -> dict:
         return {
@@ -121,13 +127,14 @@ def report(vector: LorenzVector, name: str = "", notes: Iterable[str] = ()) -> R
 
 
 def _entry_report(entry: CensusEntry) -> Report:
-    failed = Report(entry.name, entry.vector, None, None, entry.warnings, "vector unknown")
     if entry.vector is None:
-        return failed
-    try:
-        return report(entry.vector, entry.name, entry.warnings)
-    except Exception as exc:  # reported inline, never aborts the batch
-        return replace(failed, error=f"{type(exc).__name__}: {exc}")
+        error = "vector unknown"
+    else:
+        try:
+            return report(entry.vector, entry.name, entry.warnings)
+        except Exception as exc:  # reported inline, never aborts the batch
+            error = f"{type(exc).__name__}: {exc}"
+    return Report(entry.name, entry.vector, None, None, entry.warnings, error)
 
 
 def report_all(entries: Sequence[CensusEntry]) -> list[Report]:

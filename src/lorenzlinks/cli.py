@@ -20,9 +20,9 @@ import warnings
 from typing import Optional
 
 from . import census as census_mod
-from .braid import BraidWord, format_word, parse_word, permutation_braid_word
+from .braid import BraidWord, _image_word, format_word, parse_word
 from .errors import ParseError
-from .garside import normal_form, words_equal
+from .garside import _cut, _product, words_equal
 from .invariants import _check_burau_size, burau_alexander, invariant_report, morton_alexander
 from .lorenz import (
     UNKNOT,
@@ -149,12 +149,14 @@ def _cmd_is_torus(args) -> _Output:
 
 
 def _cmd_normal_form(args) -> _Output:
-    nf = normal_form(parse_word(args.word))
-    factor_words = [list(permutation_braid_word(f).letters) for f in nf.factors]
+    # the factors' words read straight off the kernel's image tuples, which
+    # normal_form would wrap in validated Permutations
+    w = parse_word(args.word)
+    factor_words = [_image_word(f) for f in _product(_cut(w.strands, w.letters))]
     human = " | ".join(" ".join(str(i) for i in fw) for fw in factor_words)
-    line = (f"n={nf.strands} factors={len(nf.factors)}: {human}" if factor_words
-            else f"n={nf.strands} factors=0 (identity)")
-    return [line], [], {"strands": nf.strands, "factors": factor_words}
+    line = (f"n={w.strands} factors={len(factor_words)}: {human}" if factor_words
+            else f"n={w.strands} factors=0 (identity)")
+    return [line], [], {"strands": w.strands, "factors": factor_words}
 
 
 def _cmd_word_eq(args) -> _Output:

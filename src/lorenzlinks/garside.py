@@ -30,11 +30,11 @@ at the boundary: in NormalForm.factors and the public helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .braid import BraidWord, Permutation, _brackets, _inverse, permutation_braid_word
+from .errors import _Value
 
 Image = tuple[int, ...]
 
@@ -154,12 +154,14 @@ def left_slide(a: Permutation, b: Permutation) -> Optional[tuple[Permutation, Pe
     return None if slid is None else (Permutation(slid[0]), Permutation(slid[1]))
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Value):
     """Left-greedy normal form: strand count plus the canonical factor tuple."""
 
-    strands: int
-    factors: tuple[Permutation, ...]
+    __slots__ = ("strands", "factors")
+
+    def __init__(self, strands: int, factors: tuple[Permutation, ...]) -> None:
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "factors", factors)
 
     def word(self) -> BraidWord:
         return BraidWord(self.strands, tuple(

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from typing import Optional
 
 from .braid import BraidWord, _cycles
-from .errors import UnsupportedInput
+from .errors import UnsupportedInput, _Value
 from .laurent import LaurentPoly
 from .lorenz import (
     UNKNOT,
@@ -51,21 +50,31 @@ MAX_BURAU_STRANDS = 10  # burau_alexander's default caps, which admit the minima
 MAX_BURAU_LETTERS = 120  # of every known census knot: at most 9 strands, 116 letters
 LOOP_DIGITS = 24  # _digits reads fewer digits than this one at a time, measured
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Value):
     """Invariants of one Lorenz link, all derived from its normalized vector."""
 
-    vector: Optional[LorenzVector]  # None for the unknot
-    components: int
-    genus: int
-    unknotting_number: int
-    trip: Optional[int]
-    c_minus_n: int
-    crossings: dict[str, int]
-    braid_indices: dict[str, int]
-    min_crossing_number: int
-    degree_prediction: int  # max deg Alexander = 2 * min deg Jones = c - n + 1
-    t_braid_crossing_bound: int  # 4g + 2*mu - 2 bounds the T-braid crossings
+    __slots__ = ("vector", "components", "genus", "unknotting_number", "trip", "c_minus_n",
+                 "crossings", "braid_indices", "min_crossing_number", "degree_prediction",
+                 "t_braid_crossing_bound")
+
+    def __init__(self, vector: Optional[LorenzVector], components: int, genus: int,
+                 unknotting_number: int, trip: Optional[int], c_minus_n: int,
+                 crossings: dict[str, int], braid_indices: dict[str, int],
+                 min_crossing_number: int, degree_prediction: int,
+                 t_braid_crossing_bound: int) -> None:
+        object.__setattr__(self, "vector", vector)  # None for the unknot
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "unknotting_number", unknotting_number)
+        object.__setattr__(self, "trip", trip)
+        object.__setattr__(self, "c_minus_n", c_minus_n)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "braid_indices", braid_indices)
+        object.__setattr__(self, "min_crossing_number", min_crossing_number)
+        # max deg Alexander = 2 * min deg Jones = c - n + 1
+        object.__setattr__(self, "degree_prediction", degree_prediction)
+        # 4g + 2*mu - 2 bounds the T-braid crossings
+        object.__setattr__(self, "t_braid_crossing_bound", t_braid_crossing_bound)
 
     @property
     def is_unknot(self) -> bool:
@@ -77,7 +86,7 @@ class InvariantReport:
 
     def to_dict(self) -> dict:
         """The fields in order, the vector as text, then bound_holds."""
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+        return {**{name: getattr(self, name) for name in self.__slots__},
                 "vector": None if self.vector is None else format_vector(self.vector),
                 "crossings": dict(self.crossings), "braid_indices": dict(self.braid_indices),
                 "bound_holds": self.bound_holds}

@@ -11,15 +11,18 @@ is exact whenever the implementation is correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import _Value
 
-@dataclass(frozen=True)
-class LaurentPoly:
+
+class LaurentPoly(_Value):
     """Sorted (exponent, coefficient) pairs, zero coefficients never stored."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, int]) -> "LaurentPoly":

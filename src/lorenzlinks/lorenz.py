@@ -22,21 +22,21 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
 
 from .braid import MAX_LETTERS, BraidWord, Permutation, _brackets, _check_letters
-from .errors import ParseError, UnsupportedInput
+from .errors import ParseError, UnsupportedInput, _Value
 
 
 class VectorOrderWarning(UserWarning):
     """A vector was written out of order and has been sorted."""
 
 
-@dataclass(frozen=True)
-class Unknot:
+class Unknot(_Value):
     """Verdict for vectors whose closure is the trivial knot."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "Unknot"
@@ -56,20 +56,20 @@ def _merge_runs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class LorenzVector:
+class LorenzVector(_Value):
     """Nondecreasing positive displacements <d_1, ..., d_p>, held as their
     runs (r_i, s_i): r_i repeated s_i times, r strictly increasing."""
 
-    rle: tuple[tuple[int, int], ...]
+    __slots__ = ("rle",)
 
-    def __post_init__(self) -> None:
-        if not self.rle:
+    def __init__(self, rle: tuple[tuple[int, int], ...]) -> None:
+        if not rle:
             raise ValueError("empty displacement vector")
-        if min(min(run) for run in self.rle) < 1:
-            raise ValueError(f"displacements and multiplicities must be positive: {self.rle}")
-        if any(a >= b for (a, _), (b, _) in zip(self.rle, self.rle[1:])):
-            raise ValueError(f"run displacements must strictly increase: {self.rle}")
+        if min(min(run) for run in rle) < 1:
+            raise ValueError(f"displacements and multiplicities must be positive: {rle}")
+        if any(a >= b for (a, _), (b, _) in zip(rle, rle[1:])):
+            raise ValueError(f"run displacements must strictly increase: {rle}")
+        object.__setattr__(self, "rle", rle)
 
     @property
     def d(self) -> tuple[int, ...]:
@@ -243,24 +243,24 @@ def dual_vector(v: LorenzVector) -> LorenzVector:
     return LorenzVector(tuple(runs))
 
 
-@dataclass(frozen=True)
-class TmTriple:
+class TmTriple(_Value):
     """Counts of LL strands (n) and RR strands (m) by displacement: the Durfee
     decomposition of the vector read as a partition, with t the side of the
     Durfee square, n_i its rows of length i+1 below the square and m_i its
     columns of height i+1 to the right of it."""
 
-    t: int
-    n: tuple[int, ...]
-    m: tuple[int, ...]
+    __slots__ = ("t", "n", "m")
 
-    def __post_init__(self) -> None:
-        if self.t < 2:
+    def __init__(self, t: int, n: tuple[int, ...], m: tuple[int, ...]) -> None:
+        if t < 2:
             raise ValueError("trip number must be at least 2")
-        if len(self.n) != self.t - 1 or len(self.m) != self.t - 1:
+        if len(n) != t - 1 or len(m) != t - 1:
             raise ValueError("n and m must have length t-1")
-        if any(x < 0 for x in self.n + self.m):
+        if any(x < 0 for x in n + m):
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
 def tm_triple(v: LorenzVector) -> TmTriple:

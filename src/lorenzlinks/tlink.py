@@ -18,32 +18,31 @@ Canonical parameters have strictly increasing r.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 
 from .braid import BraidWord, _brackets
-from .errors import ParseError
+from .errors import ParseError, _Value
 from .lorenz import (LorenzVector, _merge_runs, _require_normalized, _x_blocks, dual_vector,
                      trip_number)
 
 
-@dataclass(frozen=True)
-class TParams:
+class TParams(_Value):
     """Pairs ((r_1,s_1),...,(r_k,s_k)) with r nondecreasing, r_1 >= 2, s_i >= 1."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        if not pairs:
             raise ValueError("empty T-parameters")
-        for r, s in self.pairs:
+        for r, s in pairs:
             if r < 2:
-                raise ValueError(f"r must be at least 2: {self.pairs}")
+                raise ValueError(f"r must be at least 2: {pairs}")
             if s < 1:
-                raise ValueError(f"s must be at least 1: {self.pairs}")
-        rs = [r for r, _ in self.pairs]
+                raise ValueError(f"s must be at least 1: {pairs}")
+        rs = [r for r, _ in pairs]
         if any(a > b for a, b in zip(rs, rs[1:])):
-            raise ValueError(f"r values must be nondecreasing: {self.pairs}")
+            raise ValueError(f"r values must be nondecreasing: {pairs}")
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def k(self) -> int:

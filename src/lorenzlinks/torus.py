@@ -79,13 +79,12 @@ burau, factor_bound, garside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from typing import Optional
 
 from .braid import _brackets
-from .errors import UnsupportedInput
+from .errors import UnsupportedInput, _Value
 from .garside import _cut, _product
 from .invariants import InvariantReport, _counts, _Counts
 from .lorenz import LorenzVector, _x_blocks
@@ -94,23 +93,24 @@ MAX_TORUS_STRANDS = 150  # t at the crossings rung, whose counts fill a t x t ta
 MAX_BURAU_RUNG_SIZE = 100_000  # |X| t at the burau build, of |X| rewrites of 2|X| t bits
 
 
-@dataclass(frozen=True)
-class TorusVerdict:
+class TorusVerdict(_Value, compared=("kind", "t", "q")):
     """Torus(t, q) for the link T(t, q), or NotTorus, or Unknot, with the
     rung of is_torus that decided it; the rung takes no part in equality."""
 
-    kind: str  # "torus" | "not-torus" | "unknot"
-    t: Optional[int] = None
-    q: Optional[int] = None
-    # "unknot" | "length" | "tparams" | "components" | "crossings" | "burau" |
-    # "factor_bound" | "garside"; "tparams" and "garside" decide only Torus
-    # verdicts, "crossings" and "burau" only NotTorus
-    decided_by: str = field(default="garside", compare=False)
+    __slots__ = ("kind", "t", "q", "decided_by")
 
-    def __post_init__(self) -> None:
-        if self.kind == "torus":
-            if self.t is None or self.q is None or self.t < 2 or self.q < self.t:
-                raise ValueError(f"impossible torus verdict ({self.t},{self.q})")
+    def __init__(self, kind: str, t: Optional[int] = None, q: Optional[int] = None,
+                 decided_by: str = "garside") -> None:
+        if kind == "torus":
+            if t is None or q is None or t < 2 or q < t:
+                raise ValueError(f"impossible torus verdict ({t},{q})")
+        object.__setattr__(self, "kind", kind)  # "torus" | "not-torus" | "unknot"
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "q", q)
+        # "unknot" | "length" | "tparams" | "components" | "crossings" | "burau" |
+        # "factor_bound" | "garside"; "tparams" and "garside" decide only Torus
+        # verdicts, "crossings" and "burau" only NotTorus
+        object.__setattr__(self, "decided_by", decided_by)
 
     @property
     def is_torus(self) -> bool:
