@@ -133,7 +133,7 @@ class _Counts(namedtuple("_Counts", "vector trip min_crossing_number")):
 
 
 def _counts(v: LorenzVector) -> _Counts:
-    """t and |M| = S - p - d_p + t, for invariant_report and is_torus."""
+    """t and |M| = S - p - d_p + t, for is_torus."""
     nv = normalize(v)
     if nv is UNKNOT:
         return _Counts(None, None, 0)
@@ -152,11 +152,11 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     rotations of d_p strands, and S, p, d_p and t are read from the k runs,
     so no entry is expanded.
     """
-    nv, t, length = _counts(v)
-    if nv is None:
+    nv = normalize(v)
+    if nv is UNKNOT:
         return _UNKNOT_REPORT
-    mu = _tbraid_components(nv)
-    total, p, dp, cmn = nv.total, nv.p, nv.dp, length - t
+    t, mu, total, p, dp = trip_number(nv), _tbraid_components(nv), nv.total, nv.p, nv.dp
+    cmn = total - p - dp
     crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,
                  "minimal": cmn + t}
     braid_indices = {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t}

@@ -20,7 +20,6 @@ number #{i : i + d_i > p}.
 
 from __future__ import annotations
 
-import re
 import warnings
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Union
@@ -65,10 +64,13 @@ class LorenzVector(_Value):
     def __init__(self, rle: tuple[tuple[int, int], ...]) -> None:
         if not rle:
             raise ValueError("empty displacement vector")
-        if min(min(run) for run in rle) < 1:
+        if min(chain.from_iterable(rle)) < 1:
             raise ValueError(f"displacements and multiplicities must be positive: {rle}")
-        if any(a >= b for (a, _), (b, _) in zip(rle, rle[1:])):
-            raise ValueError(f"run displacements must strictly increase: {rle}")
+        prev = 0
+        for r, _ in rle:
+            if r <= prev:
+                raise ValueError(f"run displacements must strictly increase: {rle}")
+            prev = r
         object.__setattr__(self, "rle", rle)
 
     @property
@@ -116,16 +118,17 @@ def _require_normalized(v: LorenzVector) -> None:
         raise ValueError(f"vector <{format_vector(v)}> is not normalized")
 
 
-_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
+MAX_TERM_DIGITS = 4_300  # CPython's default int_max_str_digits, kept when that is lifted
 
 
 def parse_vector(text: str) -> LorenzVector:
     """
     Parse "2^4,3^2,6,8^2" or an explicit list "2,2,3".
 
-    Terms are "r" or "r^s"; the result is sorted nondecreasing, with a
-    VectorOrderWarning when sorting changed the written order.  Each term is
-    a run, and runs of equal r merge; the cost is in terms, not entries.
+    Terms are "r" or "r^s", each number up to MAX_TERM_DIGITS digits of
+    Unicode category Nd (str.isdecimal).  The result is sorted nondecreasing,
+    with a VectorOrderWarning when sorting changed the written order.  Each
+    term is a run, and runs of equal r merge; the cost is in terms, not entries.
     """
     body = text.strip().strip("<>").strip()
     if not body:
@@ -133,22 +136,23 @@ def parse_vector(text: str) -> LorenzVector:
     terms: list[tuple[int, int]] = []
     for term in body.split(","):
         term = term.strip()
-        m = _TERM.match(term)
-        if not m:
+        r, caret, s = term.partition("^")
+        if not r.isdecimal() or (caret and not s.isdecimal()):
             raise ParseError(f"bad vector term {term!r} in {text!r}")
-        r = int(m.group(1))
-        s = int(m.group(2)) if m.group(2) else 1
+        if len(term) > MAX_TERM_DIGITS and max(len(r), len(s)) > MAX_TERM_DIGITS:
+            raise UnsupportedInput(f"a vector term of {max(len(r), len(s))} digits exceeds"
+                                   f" the cap of {MAX_TERM_DIGITS} digits")
+        r, s = int(r), int(s) if caret else 1
         if r < 1:
             raise ParseError(f"nonpositive displacement in {text!r}")
         if s < 1:
             raise ParseError(f"nonpositive multiplicity in {text!r}")
         terms.append((r, s))
-    if any(a[0] > b[0] for a, b in zip(terms, terms[1:])):
-        warnings.warn(
-            f"vector {text!r} is not nondecreasing; sorted", VectorOrderWarning,
-            stacklevel=2,
-        )
-    return LorenzVector(_merge_runs(sorted(terms)))
+    runs = sorted(terms)
+    if runs != terms and any(a[0] > b[0] for a, b in zip(terms, terms[1:])):
+        warnings.warn(f"vector {text!r} is not nondecreasing; sorted", VectorOrderWarning,
+                      stacklevel=2)
+    return LorenzVector(_merge_runs(runs))
 
 
 def format_vector(v: LorenzVector) -> str:
@@ -164,7 +168,7 @@ def normalize(v: LorenzVector) -> MaybeUnknot:
     strand, so c - n is kept; a decrement never makes a leading 1.
     """
     runs = v.rle[1:] if v.rle[0][0] == 1 else v.rle
-    if sum(s for _, s in runs) <= 1:
+    if not runs or (len(runs) == 1 and runs[0][1] == 1):  # p <= 1
         return UNKNOT
     if runs[-1][1] == 1:
         runs = _merge_runs(runs[:-1] + ((runs[-2][0], 1),))

@@ -8,9 +8,9 @@ the minimal word M and [1,t]^q must have equal letter length, so q must be
 is periodic, periodic braids have unique roots, and delta^(tq) is central,
 so M is conjugate to delta^q exactly when M^t = delta^(tq) = Delta^(2q).
 is_torus reads t and |M|, closed forms in the vector, from invariants._counts,
-the helper invariant_report builds on, and counts the component count mu only
-when the components rung is reached; census.report passes its own report to
-the same decision, so nothing is counted twice.  The minimal word begins with
+and counts the component count mu only when the components rung is reached;
+census.report passes its own report to the same decision, so nothing is
+counted twice.  The minimal word begins with
 [1,t]^t, which has t(t-1) letters, so q >= t needs no test.  After the unknot
 and the length rule, two cheap rungs come before any word is built, the O(1)
 one first:

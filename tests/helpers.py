@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import warnings
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator
 
@@ -13,7 +15,8 @@ import pytest
 from lorenzlinks import (BraidWord, LaurentPoly, LorenzVector, NormalForm, Permutation,
                          TmTriple, TParams, normalize_units, torus_simplify)
 from lorenzlinks import invariants
-from lorenzlinks.errors import UnsupportedInput
+from lorenzlinks.errors import ParseError, UnsupportedInput
+from lorenzlinks.lorenz import VectorOrderWarning, _merge_runs
 from lorenzlinks.torus import _packed_at_2
 
 
@@ -409,3 +412,34 @@ def assert_raises(build: Callable[[], object], exc_type: type, message: str) -> 
         build()
     assert type(info.value) is exc_type
     assert str(info.value) == message
+
+
+# The vector parser as it was on a regular expression, kept as the oracle for
+# the grammar of lorenzlinks.lorenz.parse_vector, which reads each term by
+# str.partition and str.isdecimal.
+_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+
+def parse_vector_regex(text: str) -> LorenzVector:
+    body = text.strip().strip("<>").strip()
+    if not body:
+        raise ParseError("empty vector")
+    terms: list[tuple[int, int]] = []
+    for term in body.split(","):
+        term = term.strip()
+        m = _TERM.match(term)
+        if not m:
+            raise ParseError(f"bad vector term {term!r} in {text!r}")
+        r = int(m.group(1))
+        s = int(m.group(2)) if m.group(2) else 1
+        if r < 1:
+            raise ParseError(f"nonpositive displacement in {text!r}")
+        if s < 1:
+            raise ParseError(f"nonpositive multiplicity in {text!r}")
+        terms.append((r, s))
+    if any(a[0] > b[0] for a, b in zip(terms, terms[1:])):
+        warnings.warn(
+            f"vector {text!r} is not nondecreasing; sorted", VectorOrderWarning,
+            stacklevel=2,
+        )
+    return LorenzVector(_merge_runs(sorted(terms)))

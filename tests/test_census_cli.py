@@ -52,7 +52,7 @@ def test_census_flagged_rows_sorted_with_warning():
     # k6_35 is carried corrected (see census.txt), written in order
     assert entries["k6_35"].vector == parse_vector("6^6,8^5")
     assert not entries["k6_35"].warnings
-    assert entries["k7_61"].warnings
+    assert entries["k7_61"].warnings == ("vector '7^10,3^2' is not nondecreasing; sorted",)
     assert entries["k7_61"].vector == parse_vector("3^2,7^10")
     warned = [e.name for e in entries.values() if e.known and e.warnings]
     assert sorted(warned) == ["k7_61"]
@@ -290,6 +290,14 @@ def test_cli_morton_degree_cap_exits_1(capsys):
     assert out == ""
     assert err == (f"error: pq + 2m = 100010002 exceeds the cap of "
                    f"{invariants.MAX_MORTON_DEGREE} for Morton's formula\n")
+
+
+def test_cli_over_long_term_exits_1(capsys):
+    # the digits are counted before int() converts them
+    assert cli.main(["validate", "2," + "3" * 5000]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a vector term of 5000 digits exceeds the cap of 4300 digits\n"
 
 
 def test_cli_alexander_burau(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_raises, dual_vector_entries, from_entries, normalize_steps,
-                     random_normalized_vector, rle_loop, tm_triple_entries, trip_number_entries,
-                     x_letters_from_triple)
+                     parse_vector_regex, random_normalized_vector, rle_loop, tm_triple_entries,
+                     trip_number_entries, x_letters_from_triple)
 from lorenzlinks import (
     UNKNOT,
     LorenzVector,
@@ -40,6 +41,7 @@ from lorenzlinks import (
 )
 from lorenzlinks.braid import MAX_LETTERS, BraidWord, _brackets
 from lorenzlinks.lorenz import (
+    MAX_TERM_DIGITS,
     TmTriple,
     VectorOrderWarning,
     _x_blocks,
@@ -135,6 +137,59 @@ def test_parse_sorts_with_warning():
         warnings.simplefilter("error")
         parse_vector("2^2,3^4")  # ordered input warns on nothing
         assert parse_vector("2^2,2,3") == parse_vector("2^3,3")  # equal r merge silently
+        assert parse_vector("3^2,3") == parse_vector("3^3")  # even with s reordered
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_vector("3,2") == parse_vector("2,3")
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (VectorOrderWarning, "vector '3,2' is not nondecreasing; sorted")]
+    assert caught[0].filename == __file__  # stacklevel=2: the caller's line
+
+
+def _outcome(parse, text):
+    """(vector, warnings) of parse(text), or (exception type, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            v = parse(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return v, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789^,<> \t\n+-_\u0663\uff12\u00b2", max_size=12))
+@example("3^")
+@example("^3")
+@example("3^^2")
+@example("3^2^2")
+@example(" 3 ^ 2")
+@example("007^02")
+@example("0")
+@example("2^0")
+@example("1_0")
+@example("<2,3>")
+@example("2,,3")
+@example("<>")
+@example("")
+def test_parse_matches_the_regex_grammar(text):
+    assert _outcome(parse_vector, text) == _outcome(parse_vector_regex, text)
+
+
+def test_an_over_long_term_is_refused_whatever_the_int_limit():
+    message = f"a vector term of 4301 digits exceeds the cap of {MAX_TERM_DIGITS} digits"
+    limit = sys.get_int_max_str_digits()
+    for lifted in (limit, 0):
+        sys.set_int_max_str_digits(lifted)
+        try:
+            assert_raises(lambda: parse_vector("2," + "3" * 4301), UnsupportedInput, message)
+            assert_raises(lambda: parse_vector("3^" + "1" * 4301), UnsupportedInput, message)
+            assert_raises(lambda: parse_vector("0" * 4301 + "^2"), UnsupportedInput, message)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    with pytest.raises(ParseError):
+        parse_vector("3" * 4301 + "x")  # malformed before it is long
+    assert parse_vector("9" * 4300 + "^" + "0" * 4299 + "2").rle == ((10 ** 4300 - 1, 2),)
 
 
 def test_parse_errors():
@@ -579,6 +634,10 @@ def test_minimal_word_delta_duality():
                  "run displacements must strictly increase: ((3, 1), (2, 1))", id="unsorted"),
     pytest.param(lambda: LorenzVector(((2, 1), (2, 3))),
                  "run displacements must strictly increase: ((2, 1), (2, 3))", id="unmerged"),
+    pytest.param(lambda: LorenzVector(((3, 1), (2, 0))), "displacements and multiplicities"
+                 " must be positive: ((3, 1), (2, 0))", id="positivity-before-order"),
+    pytest.param(lambda: LorenzVector(((2, 1), (1, 1))),
+                 "run displacements must strictly increase: ((2, 1), (1, 1))", id="decreasing"),
     pytest.param(lambda: TmTriple(1, (), ()),
                  "trip number must be at least 2", id="trip-below-2"),
     pytest.param(lambda: TmTriple(3, (0,), (0, 0)),
