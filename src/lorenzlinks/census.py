@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ParseError, _Value
+from .errors import ParseError, UnsupportedInput, _Value
 from .invariants import InvariantReport, invariant_report
 from .lorenz import LorenzVector, format_vector, parse_vector
 from .torus import TorusVerdict, _verdict
@@ -57,8 +57,8 @@ def load_census(path: Union[str, Path, None] = None) -> list[CensusEntry]:
     """
     Parse a census file: one "name<ws>vector|?" entry per line, "#" comments.
 
-    Raises ParseError on a file that is not UTF-8 text, and with the
-    offending line number on malformed input; duplicate names are rejected.
+    Raises ParseError on a file that is not UTF-8 text, and names the line of
+    a ParseError or UnsupportedInput from a row; duplicate names are rejected.
     Vectors written out of order are sorted, recording the warning on the entry.
     """
     file = Path(path) if path is not None else builtin_census_path()
@@ -86,8 +86,8 @@ def load_census(path: Union[str, Path, None] = None) -> list[CensusEntry]:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 vector = parse_vector(body)
-        except ParseError as exc:
-            raise ParseError(f"{file.name}:{lineno}: {exc}") from exc
+        except (ParseError, UnsupportedInput) as exc:
+            raise type(exc)(f"{file.name}:{lineno}: {exc}") from exc
         notes = tuple(str(w.message) for w in caught)
         entries.append(CensusEntry(name, vector, notes))
     return entries

@@ -16,13 +16,12 @@ reduced Burau matrix of any positive word with non-split closure, divided
 exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
 The Burau route runs on integers at packed points t = 2^b, reading
-coefficients back as signed base-2^b digits (Kronecker substitution).
-Leading full twists, which start every minimal word, are central and enter
-as the scalar t^n; only the letters after them are multiplied out, by rows
-from the last letter back.  One read of each entry's digits gives both the
-width B of the determinant and its entry at t = 2^B, and the quotient's
-digits are certified.  Morton's formula runs on one dense coefficient list,
-and each of its two divisions is one pass.
+coefficients back as signed base-2^b digits (Kronecker substitution).  Full
+twists, central wherever they stand, enter as the scalar t^n; the other
+letters are multiplied out by rows from the last back.  One read of each
+entry's digits gives the width B and the entry at t = 2^B, Bareiss rescales
+a row only when it reads it, and the quotient's digits are certified.
+Morton's formula runs on one dense coefficient list, each division one pass.
 """
 
 from __future__ import annotations
@@ -257,19 +256,24 @@ def _digits(x: int, bits: int) -> list[int]:
 
 def _determinant(rows: list[list[int]]) -> int:
     """Bareiss fraction-free determinant on integers; every division is exact.
-    A row whose multiplier is zero is only rescaled."""
-    n, sign, prev = len(rows), 1, 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if rows[i][k]), k)
+    A row whose multiplier is zero at step s is left as it is: its step-k
+    entries are its step-s ones times p_(k-1) / p_(s-1), with div[j] = p_(j-1)
+    the pivots and p_(-1) = 1.  So held keeps s, and the row is scaled when read."""
+    n, sign, div, held = len(rows), 1, [1] * (len(rows) + 1), [0] * len(rows)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
         if pivot != k:
             rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
-        p, top = rows[k][k], rows[k][k + 1:]
-        for row in rows[k + 1:]:
-            m = row[k]
-            row[k + 1:] = ([(p * x - m * y) // prev for x, y in zip(row[k + 1:], top)] if m
-                           else [p * x // prev for x in row[k + 1:]])
-        prev = p or 1  # a zero column has zeroed every later entry
-    return sign * rows[-1][-1]
+            held[k], held[pivot] = held[pivot], held[k]
+        p, *top = rows[k][k:] if held[k] == k else [x * div[k] // div[held[k]] for x in rows[k][k:]]
+        for i in range(k + 1, n):
+            if m := rows[i][k]:
+                q, held[i] = div[held[i]], k + 1
+                rows[i][k + 1:] = [(p * x - m * y) // q for x, y in zip(rows[i][k + 1:], top)]
+        div[k + 1] = p
+    return sign * div[n]
 
 
 def _burau_rows(n: int, letters: tuple[int, ...]) -> tuple[list[list[int]], int]:
@@ -332,8 +336,8 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
     the size, since the determinant cost grows quickly; the CLI runs it on t
     and |M| before it builds a minimal word.  Non-split closures of positive
     braids are fibred: Delta must be monic of span len(w) - n + 1, which is
-    2g + mu - 1.  Leading full twists enter as t^n each, and the packing
-    width b comes from the letters after them.
+    2g + mu - 1.  Full twists enter as t^n each, wherever they stand, and
+    the packing width b comes from the other letters.
     """
     n = w.strands
     _check_burau_size(n, len(w), max_strands, max_letters)
@@ -341,16 +345,12 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
         raise UnsupportedInput("closure is split")
     if n == 1:
         return LaurentPoly.one()
-    # The full twist delta^n, delta = sigma_1 ... sigma_(n-1), is central and
-    # maps to the scalar t^n.  So M = t^lead * R, where lead counts the delta
-    # copies in the leading full twists and R is built from the rest alone.
-    letters, delta = w.letters, tuple(range(1, n))
-    copies = 0
-    while letters[copies * (n - 1):(copies + 1) * (n - 1)] == delta:
-        copies += 1
-    lead = copies - copies % n
-    rest = letters[lead * (n - 1):]
-    rows, b = _burau_rows(n, rest)  # R, packed at t = 2^b
+    # delta^n, delta = sigma_1 ... sigma_(n-1), is central and maps to t^n, so
+    # M = t^lead * R: lead counts delta in every run of n copies, R the rest.
+    text = "".join(map(chr, w.letters))
+    rest = text.replace("".join(map(chr, range(1, n))) * n, "")
+    lead = (len(text) - len(rest)) // (n - 1)
+    rows, b = _burau_rows(n, list(map(ord, rest)))  # R, packed at t = 2^b
     # One pass decodes R's nonzero entries; L1(R column) + 1 bounds the column
     # of M - I (exactly when lead > 0: no term of t^lead * R has degree < n).
     entries = [[(c, _digits(x, b)) for c, x in enumerate(row) if x] for row in rows]

@@ -300,6 +300,18 @@ def test_cli_over_long_term_exits_1(capsys):
     assert err == "error: a vector term of 5000 digits exceeds the cap of 4300 digits\n"
 
 
+def test_census_over_long_term_names_its_row(tmp_path, capsys):
+    # an UnsupportedInput from a census row keeps its type, so exit 1, and names the row
+    bad = tmp_path / "long.txt"
+    bad.write_text("k1 2," + "3" * 5000 + "\n")
+    with pytest.raises(UnsupportedInput, match="long.txt:1: a vector term of 5000 digits"):
+        load_census(bad)
+    assert cli.main(["census", "report", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: long.txt:1: a vector term of 5000 digits exceeds the cap of 4300 digits\n"
+
+
 def test_cli_alexander_burau(capsys):
     assert cli.main(["alexander", "--burau", "2^2,3^2"]) == 0
     assert capsys.readouterr().out.strip() == "1 - t + t^2 - t^3 + t^4"

@@ -403,23 +403,26 @@ def test_burau_of_torus_knots_matches_closed_form():
 @pytest.mark.slow
 def test_envelope_of_torus_words_after_the_full_twists():
     # delta^(9k+2) on 9 strands: k full twists enter as t^(9k), and only the
-    # two copies of delta after them are multiplied out.
-    sizes = []
-    times = []
-    for k in (2, 4, 8, 16, 32, 64):
-        w = periodic_word(9, 9 * k + 2)
-        best = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            poly = burau_alexander(w, max_letters=len(w))
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        assert poly.span == len(w) - 8, k
-        sizes.append(len(w))
-        times.append(best)
-    assert sizes[-1] >= 4000
-    exponent = fitted_exponent(sizes, times)
-    assert exponent <= 1.6, (sizes, times, exponent)
+    # two copies of delta after them are multiplied out.  Rotated by 3
+    # letters, the word is conjugate, and its full twists no longer lead.
+    for rotation in (0, 3):
+        sizes = []
+        times = []
+        for k in (2, 4, 8, 16, 32, 64):
+            letters = periodic_word(9, 9 * k + 2).letters
+            w = BraidWord(9, letters[rotation:] + letters[:rotation])
+            best = None
+            for _ in range(3):
+                t0 = time.perf_counter()
+                poly = burau_alexander(w, max_letters=len(w))
+                dt = time.perf_counter() - t0
+                best = dt if best is None else min(best, dt)
+            assert poly.span == len(w) - 8, (rotation, k)
+            sizes.append(len(w))
+            times.append(best)
+        assert sizes[-1] >= 4000
+        exponent = fitted_exponent(sizes, times)
+        assert exponent <= 1.6, (rotation, sizes, times, exponent)
 
 
 # The Morton-family knots <2^2m, p^q> of the bench's alexander workload, as (m, p, q)
@@ -477,6 +480,28 @@ def test_burau_matches_polynomial_oracle(monkeypatch):
         largest = max(largest, max(abs(c) for _, c in got.terms))
     assert largest > 2**16
     assert min(sides["loop"], sides["mask"]) >= 300, sides
+
+
+def test_burau_is_conjugation_invariant_and_takes_out_inner_full_twists(monkeypatch):
+    # a rotated word is conjugate, so its closure and Delta are the same
+    for e in load_census():
+        if e.known:
+            w = minimal_braid_word(e.vector)
+            want = burau_alexander(w)
+            for j in (1, w.strands - 1, len(w) // 2):
+                rotated = BraidWord(w.strands, w.letters[j:] + w.letters[:j])
+                assert burau_alexander(rotated) == want, (e.name, j)
+    # 2^4,3^16: delta^3, then 1 1 1 1, then delta^13; five full twists come out
+    built = []
+
+    def rows_seen(n, letters):
+        built.append(tuple(letters))
+        return _burau_rows(n, letters)
+
+    monkeypatch.setattr(invariants, "_burau_rows", rows_seen)
+    w = minimal_braid_word(normalize(parse_vector("2^4,3^16")))
+    assert len(w) == 36 and burau_alexander(w) == burau_oracle(w)
+    assert built == [(1, 1, 1, 1, 1, 2)]
 
 
 def test_unit_normal_is_normalize_units():
@@ -554,9 +579,11 @@ def test_integer_determinant_by_leibniz():
 
 def _fraction_determinant(rows: list[list[int]]) -> tuple[Fraction, collections.Counter]:
     """The determinant by elimination over the rationals, with the pivot
-    taken as in _determinant, and the cases met: row swaps, zero multipliers
-    and singular matrices."""
+    taken as in _determinant, and the cases met: row swaps, zero multipliers,
+    deferred rescales (a row whose multiplier was zero at one step that later
+    gets a nonzero one or becomes the pivot) and singular matrices."""
     a, det, seen = [[Fraction(x) for x in row] for row in rows], Fraction(1), collections.Counter()
+    skipped = [False] * len(a)  # its multiplier was zero since the row was last read
     for k in range(len(a)):
         pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
         if pivot is None:
@@ -564,11 +591,16 @@ def _fraction_determinant(rows: list[list[int]]) -> tuple[Fraction, collections.
             return Fraction(0), seen
         if pivot != k:
             a[k], a[pivot], det = a[pivot], a[k], -det
+            skipped[k], skipped[pivot] = skipped[pivot], skipped[k]
             seen["swap"] += 1
+        seen["deferred rescale"] += skipped[k]
         det *= a[k][k]
-        for row in a[k + 1:]:
+        for i in range(k + 1, len(a)):
+            row = a[i]
             m = row[k] / a[k][k]
             seen["zero multiplier"] += not m
+            seen["deferred rescale"] += bool(m) and skipped[i]
+            skipped[i] = not m
             row[k:] = [x - m * y for x, y in zip(row[k:], a[k][k:])]
     return det, seen
 
@@ -588,7 +620,8 @@ def test_integer_determinant_by_fraction_elimination():
         want, cases = _fraction_determinant(rows)
         seen.update(cases)
         assert _determinant([row[:] for row in rows]) == want, rows
-    assert min(seen["swap"], seen["zero multiplier"], seen["singular"]) >= 30, seen
+    assert min(seen["swap"], seen["zero multiplier"], seen["deferred rescale"],
+               seen["singular"]) >= 30, seen
 
 
 def test_c4g_bound_on_census():
