@@ -96,7 +96,7 @@ def _cmd_tbraid(args) -> _Output:
 
 def _cmd_minimal(args) -> _Output:
     v = parse_vector(args.vector)
-    triple, word = tm_triple(v), minimal_braid_word(v)
+    word, triple = minimal_braid_word(v), tm_triple(v)  # the word's letter cap first
     n, m = list(triple.n), list(triple.m)
     payload = {"word": format_word(word), "strands": word.strands, "length": len(word),
                "t": triple.t, "n": n, "m": m}

@@ -42,8 +42,7 @@ from .lorenz import (
     trip_number,
 )
 
-MAX_DP = 100_000  # the T-braid strands that mu is counted on, a list of d_p entries
-MAX_RUNS = 100  # the k rotations of that list, which copy up to k * d_p entries
+MAX_WALK_COST = 11_500_000  # t (k + 15) of mu's walk, k rotations of t entries, measured
 MAX_MORTON_DEGREE = 1_000_000  # pq + 2m, the degree of the bracket in Morton's formula
 MAX_BURAU_STRANDS = 10  # burau_alexander's default caps, which admit the minimal word
 MAX_BURAU_LETTERS = 120  # of every known census knot: at most 9 strands, 116 letters
@@ -97,38 +96,40 @@ _UNKNOT_REPORT = InvariantReport(  # one strand, no crossings
     t_braid_crossing_bound=0)
 
 
-def _tbraid_components(nv: LorenzVector) -> int:
-    """
-    mu, the cycle count of the T-braid prod_i [1, r_i]^s_i on d_p strands.
-
-    The T-braid closes to the same link as the Lorenz braid (see tlink).
-    [1, r] takes the strand at position 1 to position r and shifts positions
-    2..r down by one, so [1, r]^s rotates the first r positions left by s mod r.
-    The arrangement a (a[pos-1] = the strand at pos) after all k rotations is
-    the inverse of the braid's permutation, which has the same cycle count,
-    and mu is the cycle count of any braid that closes to the link.  The
-    rotations copy up to k * d_p entries, so d_p and k are capped first.
-    """
-    if nv.dp > MAX_DP:
-        raise UnsupportedInput(f"d_p = {nv.dp} exceeds the cap of {MAX_DP} T-braid strands")
-    if len(nv.rle) > MAX_RUNS:
-        raise UnsupportedInput(f"k = {len(nv.rle)} runs exceeds the cap of {MAX_RUNS} runs")
-    a = list(range(1, nv.dp + 1))
-    for r, s in nv.rle:
-        s %= r
-        a[:r] = a[s:r] + a[:s]
-    return _cycles(a)
+def _components(rle: tuple[tuple[int, int], ...], t: int) -> int:
+    """mu, the cycle count of X's strand map on t strands, for the runs of a
+    normalized vector with trip number t: the minimal word's full twist moves no
+    strand, and X = U F D (lorenz._x_blocks) is conjugate to D U F.  [v,w]^c
+    rotates positions v..w by c: one list rotation per run, of up to t entries,
+    and about 15 more for the list and its cycles, so t (k + 15) is capped first."""
+    if t * (len(rle) + 15) > MAX_WALK_COST:
+        raise UnsupportedInput(f"t = {t}, k = {len(rle)}: t (k + 15) exceeds the cap of"
+                               f" {MAX_WALK_COST} for the component count")
+    a, height, top = list(range(1, t + 1)), 0, 0
+    # D, top run first: the run above, of height entries, rotates the last height
+    # positions right by c when its lower neighbour r shows its width, top - max(r, t)
+    for r, s in reversed(((0, 0),) + rle):
+        if top and (c := (top - (r if r > t else t)) % height):
+            a[t - height:] = a[t - c:] + a[t - height:t - c]
+        if r < t:
+            break
+        height, top = height + s, r
+    for r, s in rle:  # U: [1, r]^s rotates the first r positions left by s
+        if r >= t:
+            break
+        a[:r] = a[s % r:r] + a[:s % r]
+    return _cycles(a[height % t:] + a[:height % t])  # F = [1,t]^(height - t)
 
 
 class _Counts(namedtuple("_Counts", "vector trip min_crossing_number")):
     """What the torus verdict reads, named as in InvariantReport: the normalized
-    vector (None for the unknot), t and |M|; mu is counted only when read."""
+    vector (None for the unknot), t and |M|; mu is walked only when read."""
 
     __slots__ = ()
 
     @property
     def components(self) -> int:
-        return 1 if self.vector is None else _tbraid_components(self.vector)
+        return 1 if self.vector is None else _components(self.vector.rle, self.trip)
 
 
 def _counts(v: LorenzVector) -> _Counts:
@@ -147,15 +148,14 @@ def invariant_report(v: LorenzVector) -> InvariantReport:
     T-braid has sum s_i (r_i - 1) = S - p crossings, and the dual vector has
     the same total S with p and d_p swapped, so its T-braid has S - d_p.  Every
     milestone word has the same c - n, so the minimal word on t strands has
-    S - p - d_p + t letters.  mu is the cycle count of the T-braid's k
-    rotations of d_p strands, and S, p, d_p and t are read from the k runs,
-    so no entry is expanded.
+    S - p - d_p + t letters.  mu is walked on the t strands, and S, p, d_p and
+    t are read from the k runs, so no entry is expanded.
     """
     nv = normalize(v)
     if nv is UNKNOT:
         return _UNKNOT_REPORT
-    t, mu, total, p, dp = trip_number(nv), _tbraid_components(nv), nv.total, nv.p, nv.dp
-    cmn = total - p - dp
+    t, total, p, dp = trip_number(nv), nv.total, nv.p, nv.dp
+    mu, cmn = _components(nv.rle, t), total - p - dp
     crossings = {"lorenz": total, "t": total - p, "t_dual": total - dp,
                  "minimal": cmn + t}
     braid_indices = {"lorenz": p + dp, "t": dp, "t_dual": p, "minimal": t}

@@ -270,6 +270,8 @@ class TmTriple(_Value):
 def tm_triple(v: LorenzVector) -> TmTriple:
     """The triple (t, n, m) of the normalized v: the counts of X's blocks."""
     t = trip_number(v)  # requires v normalized
+    if t - 1 > MAX_LETTERS:  # before the two lists of t - 1 counts
+        raise UnsupportedInput(f"t - 1 = {t - 1} counts exceed the cap of {MAX_LETTERS}")
     n, m = [0] * (t - 1), [0] * (t - 1)
     for a, b, c in _x_blocks(v, t):
         (n if a < b else m)[abs(a - b) - 1] = c  # [1,i+1]^n_i or [t,t-i]^m_i

@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 from lorenzlinks import (
     burau_alexander,
     cli,
+    cycle_count,
     format_tparams,
     format_vector,
     invariant_report,
     is_torus,
     load_census,
+    lorenz_permutation,
     minimal_braid_word,
     normalize,
     parse_vector,
@@ -254,33 +256,58 @@ def test_cli_huge_multiplicity_is_exact(capsys):
 
 
 def test_cli_huge_dp_exits_1(capsys):
-    # the component count builds a list of d_p entries, so d_p is capped and
-    # the cap is checked before that list is built
+    # mu is walked on the t strands, so a huge d_p with t = 2 is answered;
+    # is-torus still exits 1, at the letter cap of X at its "burau" rung
     text = "2^3,99999999999999999999^2"
-    for command in ("validate", "invariants", "is-torus"):
-        assert cli.main([command, text]) == 1, command
-        out, err = capsys.readouterr()
-        assert out == "", command
-        assert err == (f"error: d_p = 99999999999999999999 exceeds the cap of "
-                       f"{invariants.MAX_DP} T-braid strands\n"), command
-    with pytest.raises(UnsupportedInput):
-        invariant_report(parse_vector(f"2^3,{invariants.MAX_DP + 1}^2"))
+    assert cli.main(["validate", text]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "trip=2 components=2"
+    assert cli.main(["--json", "invariants", text]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["trip"], rep["components"]) == (2, 2)
+    assert cli.main(["is-torus", text]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: word exceeds the cap of {braid.MAX_LETTERS} letters\n")
+    assert cli.main(["--json", "invariants", "7^1000000000000,1000000000000000000^3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["trip"], rep["components"]) == (7, 1)
 
 
 def test_cli_many_runs_exits_1(capsys):
-    # the component count rotates its list once per run, so the run count k is
-    # capped too; these runs are short, so no test value builds a long list
-    k = invariants.MAX_RUNS + 1
-    text = ",".join(str(r) for r in range(2, k + 1)) + f",{k + 1}^2"
-    for command in ("validate", "invariants", "is-torus"):
-        assert cli.main([command, text]) == 1, command
-        out, err = capsys.readouterr()
-        assert out == "", command
-        assert err == (f"error: k = {k} runs exceeds the cap of "
-                       f"{invariants.MAX_RUNS} runs\n"), command
-    admitted = parse_vector(",".join(str(r) for r in range(2, k)) + f",{k}^2")
-    assert len(admitted.rle) == invariants.MAX_RUNS
-    assert invariant_report(admitted).vector == admitted
+    # the walk's cost t (k + 15) is capped before its list of t entries is
+    # built, in place of the old caps of 100 runs and 100,000 T-braid strands
+    text = ",".join(str(r) for r in range(2, 102)) + ",102^2"
+    nv = parse_vector(text)
+    assert len(nv.rle) == 101
+    for command in ("validate", "invariants"):
+        assert cli.main([command, text]) == 0, command
+        capsys.readouterr()
+    assert invariant_report(nv).components == cycle_count(lorenz_permutation(nv))
+    text = "10000000^10000000"
+    err = ("error: t = 10000000, k = 1: t (k + 15) exceeds the cap of"
+           f" {invariants.MAX_WALK_COST} for the component count\n")
+    for command in ("validate", "invariants"):
+        tracemalloc.start()
+        try:
+            code = cli.main([command, text])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (command, peak)
+        assert code == 1, command
+        assert capsys.readouterr() == ("", err), command
+    # is-torus counts mu only at its components rung, past the tparams rung
+    assert cli.main(["is-torus", text]) == 0
+    assert capsys.readouterr().out == "Torus(10000000,10000000)\n"
+    # the largest inputs of the old caps stay admitted: d_p = 100,000, k = 100;
+    # the first is exactly at the new cap, and one more run passes it
+    assert invariant_report(parse_vector("100000^100000")).components == 100000
+    for first in (99901, 2):
+        nv = parse_vector(",".join(str(r) for r in range(first, first + 99)) + ",100000^100000")
+        assert len(nv.rle) == 100 and nv.dp == 100000
+        assert invariant_report(nv).components == cycle_count(lorenz_permutation(nv))
+    assert invariant_report(nv).trip * 115 == invariants.MAX_WALK_COST
+    with pytest.raises(UnsupportedInput):
+        invariant_report(parse_vector(",".join(map(str, range(2, 102))) + ",100000^100000"))
 
 
 def test_cli_morton_degree_cap_exits_1(capsys):
@@ -378,6 +405,7 @@ def test_cli_refuses_words_past_the_caps_before_building_them(capsys):
     cost = (f"error: {{}} letters on {{}} strands: L (n + 25) (L + 500) exceeds the cap of"
             f" {braid.MAX_WORD_COST}\n")
     for argv, err in ((["minimal", "2^100000000,3^2"], letters),
+                      (["minimal", "1000000000^1000000000"], letters),
                       (["tbraid", "2^100000000,3^2"], letters),
                       (["normal-form", "n=100000000 1"], strands),
                       (["word-eq", "n=100000000 1", "n=100000000 1"], strands),
@@ -540,10 +568,10 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_census_report_computes_each_rows_facts_once(monkeypatch):
-    # mu comes from one count of the T-braid's rotations; the Lorenz
-    # permutation on p + d_p strands is never walked.
+    # mu comes from one walk on the t strands; the Lorenz permutation on
+    # p + d_p strands is never walked.
     reports = _count_calls(monkeypatch, invariants.invariant_report)
-    counts = _count_calls(monkeypatch, invariants._tbraid_components)
+    counts = _count_calls(monkeypatch, invariants._components)
     walks = _count_calls(monkeypatch, lorenz.lorenz_permutation)
     known = [e for e in load_census() if e.known]
     assert len(known) == 107

@@ -30,12 +30,13 @@ from lorenzlinks import (
     periodic_word,
     poly_equal_up_to_units,
     tbraid_word,
+    trip_number,
     vector_to_tparams,
 )
 from lorenzlinks import invariants
 from lorenzlinks.errors import UnsupportedInput
-from lorenzlinks.invariants import (_burau_rows, _determinant, _digits, _quotient,
-                                    _tbraid_components, _unit_normal)
+from lorenzlinks.invariants import (_burau_rows, _components, _determinant, _digits, _quotient,
+                                    _unit_normal)
 from lorenzlinks.laurent import LaurentPoly, normalize_units
 
 
@@ -87,7 +88,7 @@ def test_gcd_component_law():
             assert rep.components == math.gcd(r, s)
 
 
-def test_components_from_tbraid_rotations_match_the_lorenz_permutation():
+def test_components_from_the_t_strand_walk_match_the_lorenz_permutation():
     # The oracle walks the Lorenz permutation on p + d_p strands; the last
     # 200 vectors have the shapes of the invariants benchmark (p up to 2,000).
     rng = random.Random(19)
@@ -98,7 +99,7 @@ def test_components_from_tbraid_rotations_match_the_lorenz_permutation():
     for v in vectors:
         nv = normalize(v)
         mu = cycle_count(lorenz_permutation(nv))
-        assert _tbraid_components(nv) == mu, v
+        assert _components(nv.rle, trip_number(nv)) == mu, v
         assert invariant_report(v).components == mu, v
 
 
@@ -152,11 +153,36 @@ def test_invariant_report_linear_in_p():
     assert exponent <= 1.2, (sizes, exponents)
 
 
+@pytest.mark.slow
+def test_components_walk_linear_in_t():
+    # k = 1: one list of t entries, one rotation and one cycle walk
+    sizes = [1000, 3000, 10000, 30000, 100000]
+    vectors = [parse_vector(f"{t}^{t + 1}") for t in sizes]
+    for t, v in zip(sizes, vectors):
+        assert trip_number(v) == t and _components(v.rle, t) == 1
+    # per-round fits, as in test_invariant_report_linear_in_p
+    exponents = []
+    for _ in range(7):
+        times = []
+        for t, v in zip(sizes, vectors):
+            calls = 300000 // t
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                _components(v.rle, t)
+            times.append((time.perf_counter() - t0) / calls)
+        exponents.append(fitted_exponent(sizes, times))
+    exponent = statistics.median(exponents)
+    assert exponent <= 1.2, (sizes, exponents)
+
+
 def test_huge_multiplicity_allocates_no_entries():
-    # the runs are the stored form: a million equal entries cost one pair
+    # the runs are the stored form: a million equal entries cost one pair, and
+    # mu is walked on t strands, so huge entries with a small t cost nothing
     tracemalloc.start()
     try:
         rep = invariant_report(parse_vector("2^1000000,7^2,9^5,40^2"))
+        huge = [invariant_report(parse_vector(text)).components for text in
+                ("2^3,99999999999999999999^2", "7^1000000000000,1000000000000000000^3")]
         report_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         verdict = is_torus(parse_vector("2^1000000"))
@@ -165,6 +191,7 @@ def test_huge_multiplicity_allocates_no_entries():
         tracemalloc.stop()
     assert report_peak < 1 << 20 and torus_peak < 1 << 20, (report_peak, torus_peak)
     assert rep.crossings["lorenz"] == 2 * 1000000 + 14 + 45 + 80
+    assert huge == [2, 1]
     assert (str(verdict), verdict.decided_by) == ("Torus(2,1000000)", "tparams")
 
 

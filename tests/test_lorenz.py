@@ -483,6 +483,19 @@ def test_tm_triple_examples():
     assert (tr.t, tr.n, tr.m) == (2, (0,), (0,))
 
 
+def test_tm_triple_refuses_past_the_letter_cap_before_allocating():
+    # the counts are two lists of t - 1, so t - 1 is held to MAX_LETTERS first;
+    # 3000000^3000000 took 144 MB when the lists came first
+    tracemalloc.start()
+    try:
+        assert_raises(lambda: tm_triple(parse_vector("3000000^3000000")), UnsupportedInput,
+                      f"t - 1 = 2999999 counts exceed the cap of {MAX_LETTERS}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_triple_sums():
     rng = random.Random(5)
     for _ in range(200):
