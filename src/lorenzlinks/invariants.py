@@ -15,12 +15,11 @@ family <2^2m, p^q>, and burau_alexander computes det(rho(w) - I) for the
 reduced Burau matrix of any positive word with non-split closure, divided
 exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
-The Burau route runs on integers at packed points t = 2^b, reading
-coefficients back as signed base-2^b digits (Kronecker substitution).  Full
-twists, central wherever they stand, enter as the scalar t^n; the other
-letters are multiplied out by rows from the last back.  One read of each
-entry's digits gives the width B and the entry at t = 2^B, Bareiss rescales
-a row only when it reads it, and the quotient's digits are certified.
+The Burau route runs on integers at packed points t = 2^b, whose signed
+base-2^b digits are the coefficients (Kronecker substitution).  Full twists,
+central, enter as the scalar t^n; the other letters are multiplied out by
+rows from the last back.  Bareiss runs at t = 2^max(b, B), B the Hadamard
+width, rescales a row only when it reads it, and the quotient is certified.
 Morton's formula runs on one dense coefficient list, each division one pass.
 """
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import Optional
 
 from .braid import BraidWord, _cycles
@@ -226,11 +225,11 @@ def morton_alexander(m: int, p: int, q: int) -> LaurentPoly:
 
 
 def _unit_normal(coeffs: list[int]) -> LaurentPoly:
-    """normalize_units of the polynomial with these coefficients, lowest first,
-    read once from the first nonzero one, whose sign it takes."""
+    """normalize_units of the polynomial with these coefficients, lowest first:
+    read from the first nonzero one, negated once if that one is negative."""
     low = next((e for e, c in enumerate(coeffs) if c), 0)
-    sign = -1 if coeffs and coeffs[low] < 0 else 1
-    return LaurentPoly(tuple([(e, sign * c) for e, c in enumerate(coeffs[low:]) if c]))
+    tail = coeffs[low:] if not coeffs or coeffs[low] > 0 else [-c for c in coeffs[low:]]
+    return LaurentPoly(tuple(compress(enumerate(tail), tail)))
 
 
 def _digits(x: int, bits: int) -> list[int]:
@@ -261,13 +260,15 @@ def _determinant(rows: list[list[int]]) -> int:
     the pivots and p_(-1) = 1.  So held keeps s, and the row is scaled when read."""
     n, sign, div, held = len(rows), 1, [1] * (len(rows) + 1), [0] * len(rows)
     for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        pivot = k if rows[k][k] else next((i for i in range(k + 1, n) if rows[i][k]), None)
         if pivot is None:
             return 0
         if pivot != k:
             rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
             held[k], held[pivot] = held[pivot], held[k]
-        p, *top = rows[k][k:] if held[k] == k else [x * div[k] // div[held[k]] for x in rows[k][k:]]
+        p, top, s = rows[k][k], rows[k][k + 1:], held[k]
+        if s != k:
+            p, top = p * div[k] // div[s], [x * div[k] // div[s] for x in top]
         for i in range(k + 1, n):
             if m := rows[i][k]:
                 q, held[i] = div[held[i]], k + 1
@@ -288,7 +289,8 @@ def _burau_rows(n: int, letters: tuple[int, ...]) -> tuple[list[list[int]], int]
         sums[i - 1] += sums[i]
         sums[i + 1] += sums[i]
     b = max(sums[1:n]).bit_length() + 2
-    rows = [[int(r == c) for c in range(1, n)] for r in range(n + 1)]
+    line = [0] * (n - 1) + [1] + [0] * (n - 1)  # row r is 1 at column r, or 0
+    rows = [line[n - r:2 * n - 1 - r] for r in range(n + 1)]
     for i in reversed(letters):
         rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
     return rows[1:n], b
@@ -333,11 +335,10 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
 
     Knots and links alike are accepted; a word missing some sigma_i closes
     to a split link, whose Delta is 0, and is refused.  _check_burau_size caps
-    the size, since the determinant cost grows quickly; the CLI runs it on t
-    and |M| before it builds a minimal word.  Non-split closures of positive
-    braids are fibred: Delta must be monic of span len(w) - n + 1, which is
-    2g + mu - 1.  Full twists enter as t^n each, wherever they stand, and
-    the packing width b comes from the other letters.
+    the size, since the determinant cost grows quickly.  Non-split closures of
+    positive braids are fibred: Delta must be monic of span len(w) - n + 1,
+    which is 2g + mu - 1.  Bareiss runs at t = 2^max(b, B), b R's width and B
+    one that bounds the determinant, so R is re-packed only when B > b.
     """
     n = w.strands
     _check_burau_size(n, len(w), max_strands, max_letters)
@@ -351,23 +352,22 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
     rest = text.replace("".join(map(chr, range(1, n))) * n, "")
     lead = (len(text) - len(rest)) // (n - 1)
     rows, b = _burau_rows(n, list(map(ord, rest)))  # R, packed at t = 2^b
-    # One pass decodes R's nonzero entries; L1(R column) + 1 bounds the column
-    # of M - I (exactly when lead > 0: no term of t^lead * R has degree < n).
+    # One decode of R's nonzero entries: L1(R column) + 1 bounds the column of M - I,
+    # exactly if lead > 0 (t^lead R has no term below t^n); 2 prod(norms) bounds every minor.
     entries = [[(c, _digits(x, b)) for c, x in enumerate(row) if x] for row in rows]
     norms = [1] * (n - 1)
     for c, digits in chain.from_iterable(entries):
         norms[c] += sum(map(abs, digits))
-    bound = 2 * math.prod(norms)
-    big = bound.bit_length() + 2  # each Bareiss entry is a minor, below bound
-    # Horner at width big gives each entry of t^lead * R - I; a zero one is -delta.
-    matrix = [[-(r == c) for c in range(n - 1)] for r in range(n - 1)]
-    for row, out in zip(entries, matrix):
-        for c, digits in row:
+    big = max(b, (2 * math.prod(norms)).bit_length() + 2)
+    for r, row in enumerate(rows):  # t^lead * R - I at t = 2^big
+        for c, digits in entries[r] if big > b else ():
             x = 0
-            for d in reversed(digits):
+            for d in reversed(digits):  # re-packed by Horner
                 x = (x << big) + d
-            out[c] += x << (big * lead)
-    poly = _unit_normal(_quotient(_determinant(matrix), n, big))
+            row[c] = x
+        row[:] = [x << (big * lead) for x in row]
+        row[r] -= 1
+    poly = _unit_normal(_quotient(_determinant(rows), n, big))
     ends = {abs(c) for _, c in poly.terms[:1] + poly.terms[-1:]}
     if ends != {1} or poly.span != len(w) - n + 1:
         raise AssertionError(f"Burau result is not monic of span {len(w) - n + 1}")

@@ -480,13 +480,20 @@ def _random_knot_words(rng: random.Random, count: int) -> list[BraidWord]:
 
 def test_burau_matches_polynomial_oracle(monkeypatch):
     # R's nonzero entries are decoded by the loop below LOOP_DIGITS digits and
-    # by the masks above; both kinds meet the oracle here.
-    sides = collections.Counter()
+    # by the masks above; both kinds meet the oracle here.  So do both widths
+    # of Bareiss: R's own b when the Hadamard width B is at most b, and R's
+    # digits re-packed at B by Horner when B > b.
+    sides, widths = collections.Counter(), []
 
     def rows_seen(n, letters):
         rows, b = _burau_rows(n, letters)
         sides.update("loop" if x.bit_length() < invariants.LOOP_DIGITS * b else "mask"
                      for row in rows for x in row if x)
+        norms = [1] * (n - 1)
+        for row in rows:
+            for c, x in enumerate(row):
+                norms[c] += sum(map(abs, _digits(x, b)))
+        widths.append("own" if (2 * math.prod(norms)).bit_length() + 2 <= b else "horner")
         return rows, b
 
     monkeypatch.setattr(invariants, "_burau_rows", rows_seen)
@@ -507,6 +514,11 @@ def test_burau_matches_polynomial_oracle(monkeypatch):
         largest = max(largest, max(abs(c) for _, c in got.terms))
     assert largest > 2**16
     assert min(sides["loop"], sides["mask"]) >= 300, sides
+    # the census and Morton words, then the random ones, which have no full twist
+    assert len(widths) == 107 + len(WORKLOAD_MORTON) + 200
+    seen = collections.Counter(widths[:107 + len(WORKLOAD_MORTON)])
+    assert min(seen["own"], seen["horner"]) >= 40, seen
+    assert widths[107 + len(WORKLOAD_MORTON):].count("own") >= 10, widths
 
 
 def test_burau_is_conjugation_invariant_and_takes_out_inner_full_twists(monkeypatch):
