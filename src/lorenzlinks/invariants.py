@@ -16,9 +16,9 @@ reduced Burau matrix of any positive word with non-split closure, divided
 exactly by 1 + t + ... + t^(n-1).  Both are defined up to units +-t^j only.
 
 The Burau route runs on integers at packed points t = 2^b, whose signed
-base-2^b digits are the coefficients (Kronecker substitution).  Full twists,
-central, enter as the scalar t^n; the other letters are multiplied out by
-rows from the last back.  Bareiss runs at t = 2^max(b, B), B the Hadamard
+base-2^b digits are the coefficients (Kronecker substitution).  Full twists
+are central and enter as the scalar t^n; the rest is multiplied out by rows
+from the last letter back.  Bareiss runs at t = 2^max(b, B), B the Hadamard
 width, rescales a row only when it reads it, and the quotient is certified.
 Morton's formula runs on one dense coefficient list, each division one pass.
 """
@@ -289,7 +289,7 @@ def _burau_rows(n: int, letters: tuple[int, ...]) -> tuple[list[list[int]], int]
         sums[i - 1] += sums[i]
         sums[i + 1] += sums[i]
     b = max(sums[1:n]).bit_length() + 2
-    line = [0] * (n - 1) + [1] + [0] * (n - 1)  # row r is 1 at column r, or 0
+    line = [0] * (n - 1) + [1] + [0] * (n - 1)  # I's rows 1..n-1, padded by 0 rows
     rows = [line[n - r:2 * n - 1 - r] for r in range(n + 1)]
     for i in reversed(letters):
         rows[i] = [((x - y) << b) + z for x, y, z in zip(rows[i - 1], rows[i], rows[i + 1])]
@@ -353,7 +353,7 @@ def burau_alexander(w: BraidWord, *, max_strands: int = MAX_BURAU_STRANDS,
     lead = (len(text) - len(rest)) // (n - 1)
     rows, b = _burau_rows(n, list(map(ord, rest)))  # R, packed at t = 2^b
     # One decode of R's nonzero entries: L1(R column) + 1 bounds the column of M - I,
-    # exactly if lead > 0 (t^lead R has no term below t^n); 2 prod(norms) bounds every minor.
+    # exactly if lead > 0 (t^lead R has no term below t^n), so 2 prod(norms) bounds each minor.
     entries = [[(c, _digits(x, b)) for c, x in enumerate(row) if x] for row in rows]
     norms = [1] * (n - 1)
     for c, digits in chain.from_iterable(entries):
